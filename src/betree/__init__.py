@@ -18,6 +18,7 @@ from .boundary_tree import (
     TreeNode,
     build_tree,
     candidate_ids,
+    fill_embeddings,
     insert_if_wrong,
     load_tree,
     new_tree,

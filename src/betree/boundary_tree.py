@@ -3,7 +3,8 @@
 Queries descend greedily by embedding-space distance; a misclassified query
 is stored as a child of the node that produced the wrong answer, so every
 edge joins differently-labeled samples. Nodes live in an arena and are
-addressed by integer ids that ascend in insertion order.
+addressed by integer ids that ascend in insertion order; their embeddings
+live in one matrix on the tree, one row per node id.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ class Sample:
 
 @dataclass
 class TreeNode:
+    """One stored sample; its embedding is row `id` of the tree's matrix."""
+
     id: int
     sample: Sample
     parent: int | None
     children: list[int] = field(default_factory=list)
-    # (embedder cache_key, embedded vector); stale entries are recomputed.
-    emb_cache: tuple | None = None
 
     @property
     def label(self) -> int:
@@ -84,6 +85,11 @@ class BoundaryTree:
     max_children of None means unbounded fan-out. With a finite bound, a node
     that is full is excluded from its own candidate set, which forces the
     traversal to descend past it.
+
+    Node embeddings are cached in `emb`, one row per node id, valid where
+    `emb_valid` is set and only under the embedder stamp `emb_key`. Both
+    grow geometrically as nodes are added; `emb` is None until the first
+    row is filled under the current key, which also fixes its width.
     """
 
     def __init__(self, first: Sample, max_children: int | None = None, class_count: int = 2):
@@ -95,6 +101,9 @@ class BoundaryTree:
         self.root = 0
         self.max_children = max_children
         self.class_count = class_count
+        self.emb_key = None
+        self.emb: np.ndarray | None = None
+        self.emb_valid = np.zeros(1, dtype=bool)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -118,7 +127,25 @@ class BoundaryTree:
         node = TreeNode(len(self.nodes), sample, parent)
         self.nodes.append(node)
         self.nodes[parent].children.append(node.id)
+        if node.id == len(self.emb_valid):
+            self._grow_embeddings()
         return node.id
+
+    def _grow_embeddings(self) -> None:
+        capacity = 2 * len(self.emb_valid)
+        valid = np.zeros(capacity, dtype=bool)
+        valid[:len(self.emb_valid)] = self.emb_valid
+        self.emb_valid = valid
+        if self.emb is not None:
+            emb = np.empty((capacity, self.emb.shape[1]))
+            emb[:len(self.emb)] = self.emb
+            self.emb = emb
+
+    def reset_embeddings(self, key) -> None:
+        """Drop every cached row and start caching under `key`."""
+        self.emb_key = key
+        self.emb = None
+        self.emb_valid = np.zeros(len(self.emb_valid), dtype=bool)
 
 
 def new_tree(first: Sample, max_children: int | None = None, class_count: int = 2) -> BoundaryTree:
@@ -126,19 +153,33 @@ def new_tree(first: Sample, max_children: int | None = None, class_count: int = 
 
 
 def node_embedding(tree: BoundaryTree, node_id: int, embed) -> np.ndarray:
-    """Embedded node features, cached per embedder stamp.
+    """Row `node_id` of the tree's embedding matrix under `embed`.
 
-    Safe under concurrent read-only queries: both racers would write the
-    same deterministic value.
+    A row not yet filled under embed.cache_key is computed by one
+    embed(features) call and stored; a new key first drops every row, and
+    the width may change with it. Not safe for concurrent writers: callers
+    that query from several threads fill every row first (fill_embeddings).
     """
-    node = tree.nodes[node_id]
-    key = embed.cache_key
-    cached = node.emb_cache
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    vec = np.asarray(embed(node.sample.features), dtype=np.float64)
-    node.emb_cache = (key, vec)
-    return vec
+    if tree.emb_key != embed.cache_key:
+        tree.reset_embeddings(embed.cache_key)
+    if not tree.emb_valid[node_id]:
+        vec = np.asarray(embed(tree.nodes[node_id].sample.features), dtype=np.float64)
+        if tree.emb is None:
+            tree.emb = np.empty((len(tree.emb_valid), vec.shape[0]))
+        tree.emb[node_id] = vec
+        tree.emb_valid[node_id] = True
+    return tree.emb[node_id]
+
+
+def fill_embeddings(tree: BoundaryTree, embed, ids=None) -> None:
+    """Make rows `ids` (every node when None) valid under `embed`, with one
+    node_embedding call per missing row."""
+    if tree.emb_key != embed.cache_key:
+        tree.reset_embeddings(embed.cache_key)
+    valid = tree.emb_valid
+    for i in range(len(tree)) if ids is None else ids:
+        if not valid[i]:
+            node_embedding(tree, i, embed)
 
 
 def candidate_ids(tree: BoundaryTree, node_id: int) -> list[int]:
@@ -156,7 +197,9 @@ def traverse(tree: BoundaryTree, embed, y) -> Trace:
     At each node with children, move to the distance argmin over the
     candidate set; equal distances resolve to the lowest node id (candidate
     lists ascend by id, so the first minimum wins). Stops when the argmin is
-    the current node or a childless node is reached.
+    the current node or a childless node is reached. Each decision's
+    distances come from one l2_value call over the gathered candidate rows
+    of the tree's embedding matrix.
     """
     y_emb = np.asarray(embed(y), dtype=np.float64)
     steps: list[TraceStep] = []
@@ -165,7 +208,8 @@ def traverse(tree: BoundaryTree, embed, y) -> Trace:
         if not tree.nodes[current].children:
             return Trace(steps, current, STOP_LEAF)
         cands = candidate_ids(tree, current)
-        dists = np.array([l2_value(y_emb, node_embedding(tree, c, embed)) for c in cands])
+        fill_embeddings(tree, embed, cands)
+        dists = l2_value(y_emb, tree.emb[cands])
         chosen = int(np.argmin(dists))
         steps.append(TraceStep(current, cands, dists, chosen))
         nxt = cands[chosen]
@@ -259,9 +303,15 @@ def load_tree(path, max_children: int | None = None) -> BoundaryTree:
         fields = line.split()
         if len(fields) != 3:
             raise TreeFormatError(f"bad node line {line!r}, expected 'id parent label'")
-        nid, parent, label = (int(x) for x in fields)
+        try:
+            nid, parent, label = (int(x) for x in fields)
+        except ValueError:
+            raise TreeFormatError(
+                f"node line {line!r} at position {i} has a non-integer field") from None
         if nid != i:
             raise TreeFormatError(f"node ids must be sequential, got {nid} at position {i}")
+        if not 0 <= label < class_count:
+            raise TreeFormatError(f"node {nid} has label {label} outside [0, {class_count})")
         if len(buf) - pos < dim * 8:
             raise TreeFormatError(f"truncated feature payload at node {nid}")
         feats = np.frombuffer(buf, "<f8", dim, pos).copy()

@@ -98,15 +98,25 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(samples, dim, max(class_count, 1), "idx")
 
 
+def _utf8_lines(f, path):
+    """Lines of a text file opened as UTF-8; undecodable bytes raise a
+    DataFormatError naming the file."""
+    try:
+        yield from f
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not UTF-8 text ({e.reason})") from e
+
+
 def load_embedding_csv(path) -> Dataset:
     """Rows of `label, v1, ..., vD`; lines starting with `#` are comments,
     and a non-numeric first field on the first data line is treated as a
-    header. Errors name the offending line."""
+    header. Errors name the offending line, or the file when it is not
+    UTF-8 text."""
     samples = []
     dim = None
     header_seen = False
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+        reader = csv.reader(_utf8_lines(f, path))
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -125,9 +135,9 @@ def load_embedding_csv(path) -> Dataset:
                 values = [float(v) for v in row[1:]]
             except ValueError as e:
                 raise DataFormatError(f"{path}:{lineno}: non-numeric field ({e})") from e
-            label = int(label_f)
-            if label != label_f or label < 0:
+            if not label_f.is_integer() or label_f < 0:
                 raise DataFormatError(f"{path}:{lineno}: label must be a non-negative integer, got {row[0]!r}")
+            label = int(label_f)
             if dim is None:
                 dim = len(values)
             elif len(values) != dim:

@@ -115,9 +115,9 @@ def path_log_prob(trace: PathTrace) -> int:
 
 
 def _aggregation(trace: PathTrace, sibling_mode: str):
-    """The decision whose candidates form the class prediction, the indices
-    of the aggregated candidates, and the decisions before it (the retained
-    path prefix). None means the degenerate single-member case (the root)."""
+    """The decision whose candidates form the class prediction and the
+    indices of the aggregated candidates. None means the degenerate
+    single-member case (the root)."""
     decisions = trace.decisions
     if sibling_mode == "candidates":
         if not decisions:
@@ -127,7 +127,7 @@ def _aggregation(trace: PathTrace, sibling_mode: str):
             idx = list(range(len(last.candidates)))
         else:
             idx = [i for i, cid in enumerate(last.candidates) if cid != last.node]
-        return last, idx, decisions[:-1]
+        return last, idx
     if sibling_mode == "tree":
         # Tree-siblings of the final node: its parent's children. For a leaf
         # stop that is the last decision's candidates minus the decision
@@ -138,12 +138,12 @@ def _aggregation(trace: PathTrace, sibling_mode: str):
                 return None
             last = decisions[-1]
             idx = [i for i, cid in enumerate(last.candidates) if cid != last.node]
-            return last, idx, decisions[:-1]
+            return last, idx
         if len(decisions) < 2:
             return None
         agg = decisions[-2]
         idx = [i for i, cid in enumerate(agg.candidates) if cid != agg.node]
-        return agg, idx, decisions[:-2]
+        return agg, idx
     raise ValueError(f"unknown sibling_mode {sibling_mode!r}, expected one of {SIBLING_MODES}")
 
 
@@ -154,34 +154,27 @@ def class_log_prob(trace: PathTrace, sibling_mode: str = "candidates") -> ClassL
     set (final node plus its children); for a leaf stop, that set minus the
     decision node (the final node and its siblings). Per-class scores sum
     the aggregated transition probabilities by label and are renormalized.
-    The path prefix's log-probability is added to every class and cancels in
-    the normalization; it is kept on the tape as an exactly-cancelling pair
-    (x - x is exact in floats), so it contributes zero gradient and no
-    rounding noise to the loss value. A single-node tree predicts the root's
-    label with probability 1.
+    The path prefix's log-probability would add the same term to every
+    class and cancel in the normalization, so it is left off the tape: the
+    loss and its gradient do not depend on the prefix decisions. A
+    single-node tree predicts the root's label with probability 1.
     """
     tape = trace.tape
     tree = trace.tree
     agg = _aggregation(trace, sibling_mode)
     if agg is None:
         members = [(trace.final, tape.constant(1.0))]
-        prefix: list[Decision] = []
     else:
-        decision, idx, prefix = agg
+        decision, idx = agg
         members = [(decision.candidates[i], tape.exp(decision.logp_refs[i])) for i in idx]
 
-    prefix_ref = tape.sum_scalars([d.logp_refs[d.chosen] for d in prefix])
     score_refs = []
     for c in range(tree.class_count):
         parts = [p for nid, p in members if tree.nodes[nid].label == c]
         score_refs.append(tape.sum_scalars(parts))
     log_score_refs = [tape.log(s) for s in score_refs]
     log_total = tape.log(tape.sum_scalars(score_refs))
-    cancelled_prefix = tape.sub(prefix_ref, prefix_ref)
-    refs = [
-        tape.add(tape.sub(ls, log_total), cancelled_prefix)
-        for ls in log_score_refs
-    ]
+    refs = [tape.sub(ls, log_total) for ls in log_score_refs]
     return ClassLogProb(refs, log_score_refs)
 
 

@@ -28,13 +28,16 @@ class ShapeError(ValueError):
     """Operand shapes incompatible with the requested operation."""
 
 
-def l2_value(a: np.ndarray, b: np.ndarray) -> np.float64:
-    """Euclidean distance, shared by the tape op and plain tree traversal.
+def l2_value(a: np.ndarray, b: np.ndarray):
+    """Euclidean distance from a rank-1 `a` to `b`, or to each row of a
+    rank-2 `b` (one distance per row).
 
-    Both callers must agree bitwise, so this is the single implementation.
+    The single distance kernel, shared by the tape op and plain tree
+    traversal: both must agree bitwise, and each row's sum runs over the
+    same contiguous elements in the same order as the rank-1 case.
     """
     diff = a - b
-    return np.sqrt(np.sum(diff * diff))
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 class _Node:
@@ -136,10 +139,10 @@ class Tape:
             raise ShapeError(
                 f"l2_distance: expected equal rank-1 shapes, got {np.shape(av)} and {np.shape(bv)}"
             )
-        diff = av - bv
-        d = np.sqrt(np.sum(diff * diff))
+        d = l2_value(av, bv)
 
         def vjp(g):
+            diff = av - bv
             if d < DISTANCE_EPS:
                 z = np.zeros_like(diff)
                 return z, z

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary_tree import BoundaryTree, build_tree, node_embedding, predict_hard
+from .boundary_tree import BoundaryTree, build_tree, fill_embeddings, predict_hard
 from .soft_path import loss_and_grad
 from .transform import (
     AdamState,
@@ -212,14 +212,13 @@ def evaluate(params: ParameterSet | None, train_set, test_set,
     """Build a fresh tree over the full train set (identity embedding when
     params is None) and report hard test error plus the node count.
 
-    Queries against the finished tree are read-only; with threads > 1 they
-    run in a pool after all node embeddings are computed once up front, so
-    the error count is independent of scheduling.
+    The tree's embedding matrix is filled once, every row, before the
+    queries run, so queries only read it; with threads > 1 they run in a
+    pool, and the error count is independent of scheduling.
     """
     embedder = identity_embedder() if params is None else make_embedder(params)
     tree = build_tree(train_set.samples, embedder, max_children, train_set.class_count)
-    for node in tree.nodes:
-        node_embedding(tree, node.id, embedder)
+    fill_embeddings(tree, embedder)
 
     tests = test_set.samples
     if not tests:

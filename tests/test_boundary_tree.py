@@ -13,10 +13,12 @@ from betree import (
     build_tree,
     candidate_ids,
     embed,
+    fill_embeddings,
     gen_half_moons,
     identity_embedder,
     init_params,
     insert_if_wrong,
+    l2_value,
     load_tree,
     make_embedder,
     new_tree,
@@ -237,6 +239,60 @@ def test_node_embedding_cache_keyed_by_embedder():
     node_embedding(tree, 0, counted(("count", 2)))
     assert calls["n"] == 2  # new stamp invalidates
     assert np.array_equal(node_embedding(tree, 1, e1), [4.0, 0.0])
+    assert calls["n"] == 3 and tree.emb_key == ("count", 1)
+    assert tree.emb_valid[:2].tolist() == [False, True]  # row 0 was filled under key 2
+
+    # A new key on the same tree may change the embedding width.
+    def widen(x):
+        calls["n"] += 1
+        return np.append(x, -1.0)
+
+    widen.cache_key = ("widen",)
+    fill_embeddings(tree, widen)
+    assert calls["n"] == 5 and tree.emb.shape[1] == 3
+    assert np.array_equal(tree.emb[:2], [[0.0, 0.0, -1.0], [4.0, 0.0, -1.0]])
+    fill_embeddings(tree, widen)
+    assert calls["n"] == 5  # every row already valid under this key
+    assert traverse(tree, widen, np.array([3.0, 0.0])).final == 1
+    fill_embeddings(tree, IDENT)
+    assert tree.emb.shape[1] == 2 and np.array_equal(tree.emb[:2], [[0.0, 0.0], [4.0, 0.0]])
+
+
+def test_embedding_matrix_grows_and_traverse_matches_per_candidate_replay():
+    rng = np.random.default_rng(105)
+    params = init_params(MlpArchitecture((3, 8, 2)), 106)
+    embedder = make_embedder(params)
+    calls = {"n": 0}
+
+    def counted(x):
+        calls["n"] += 1
+        return embedder(x)
+
+    counted.cache_key = embedder.cache_key
+    tree = new_tree(Sample(rng.normal(size=3), 0), class_count=3)
+    for s in random_samples(rng, 400, 3, 3):
+        insert_if_wrong(tree, counted, s)
+        n = len(tree)
+        capacity = len(tree.emb_valid)
+        assert capacity >= n and capacity & (capacity - 1) == 0  # doubles as nodes arrive
+        assert tree.emb is None or tree.emb.shape == (capacity, 2)
+        assert not tree.emb_valid[n:].any()
+    assert len(tree) > 100
+    for i in np.flatnonzero(tree.emb_valid):
+        assert np.array_equal(tree.emb[i], embed(params, tree.nodes[i].sample.features))
+    # One embed call per traversed query plus one per node row filled.
+    assert calls["n"] == 400 + int(tree.emb_valid.sum())
+
+    for _ in range(50):
+        q = rng.normal(size=3)
+        trace = traverse(tree, embedder, q)
+        q_emb = embed(params, q)
+        for step in trace.steps:
+            replay = [l2_value(q_emb, embed(params, tree.nodes[c].sample.features))
+                      for c in step.candidates]
+            assert step.distances.tolist() == replay
+    fill_embeddings(tree, embedder)
+    assert tree.emb_valid[:len(tree)].all()
 
 
 def test_snapshot_round_trip(tmp_path):
@@ -268,6 +324,7 @@ def test_load_tree_format_errors(tmp_path):
         "count line": _tree_bytes(b"1 2\n", [(b"0 -1 0\n", [0, 0])]),
         "empty": _tree_bytes(b"0 2 2\n", []),
         "node line": _tree_bytes(b"1 2 2\n", [(b"0 -1\n", [0, 0])]),
+        "non-integer": _tree_bytes(b"1 2 2\n", [(b"0 -1 x\n", [0, 0])]),
         "sequential": _tree_bytes(b"2 2 2\n", [(b"0 -1 0\n", [0, 0]),
                                                (b"2 0 1\n", [1, 1])]),
         "root parent": _tree_bytes(b"1 2 2\n", [(b"0 0 0\n", [0, 0])]),
@@ -287,5 +344,9 @@ def test_load_tree_rejects_out_of_range_label(tmp_path):
     blob = _tree_bytes(b"1 2 2\n", [(b"0 -1 5\n", [0, 0])])
     path = tmp_path / "label.btree"
     path.write_bytes(blob)
-    with pytest.raises(ValueError):
+    with pytest.raises(TreeFormatError, match="node 0"):
+        load_tree(path)
+    blob = _tree_bytes(b"2 2 2\n", [(b"0 -1 0\n", [0, 0]), (b"1 0 2\n", [1, 1])])
+    path.write_bytes(blob)
+    with pytest.raises(TreeFormatError, match="node 1"):
         load_tree(path)

@@ -179,6 +179,8 @@ def test_csv_error_cases(tmp_path):
         "nonnum.csv": ("0,1.0\n1,apple\n", "non-numeric"),
         "fraclabel.csv": ("1.5,1.0\n", "non-negative integer"),
         "neglabel.csv": ("-2,1.0\n", "non-negative integer"),
+        "nanlabel.csv": ("nan,1.0\n", "non-negative integer"),
+        "inflabel.csv": ("inf,1.0\n", "non-negative integer"),
         "short.csv": ("3\n", "field"),
         "empty.csv": ("# nothing here\n", "no data rows"),
         "headeronly.csv": ("label,e1\n", "no data rows"),
@@ -195,6 +197,14 @@ def test_csv_errors_include_line_numbers(tmp_path):
     path.write_text("label,e1\n0,1.0\n1,x\n")
     with pytest.raises(DataFormatError, match=":3:"):
         load_embedding_csv(path)
+
+
+def test_csv_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"label,e1\n0,1.0\n1,\xff2.0\n")
+    with pytest.raises(DataFormatError, match="not UTF-8") as err:
+        load_embedding_csv(path)
+    assert str(path) in str(err.value)
 
 
 def test_csv_write_read_round_trip_exact(tmp_path):

@@ -152,6 +152,27 @@ def test_l2_distance_zero_guard():
     assert np.all(np.isfinite(grads[rb]))
 
 
+@pytest.mark.parametrize("dim", [2, 784])
+def test_l2_rows_bitwise_equal_per_row_and_tape(dim):
+    # Traversal gathers candidate rows out of a larger matrix and takes all
+    # their distances in one call; each must equal the rank-1 kernel, a
+    # plain per-row sum, and the tape op on the same pair, to the bit.
+    rng = np.random.default_rng(40 + dim)
+    matrix = rng.normal(size=(64, dim)) * 10.0 ** rng.integers(-3, 4, size=(64, 1))
+    for k in range(1, 41):
+        ids = sorted(rng.choice(len(matrix), size=k, replace=False).tolist())
+        y = rng.normal(size=dim)
+        rows = l2_value(y, matrix[ids])
+        assert rows.shape == (k,)
+        tape = Tape()
+        y_ref = tape.constant(y)
+        for j, i in enumerate(ids):
+            diff = y - matrix[i]
+            plain = np.sqrt(np.sum(diff * diff))
+            via_tape = tape.value(tape.l2_distance(y_ref, tape.constant(matrix[i])))
+            assert rows[j] == plain == l2_value(y, matrix[i]) == via_tape
+
+
 def test_l2_distance_shape_errors():
     tape = Tape()
     with pytest.raises(ShapeError):
