@@ -65,7 +65,6 @@ from .transform import (
     MlpArchitecture,
     NonFiniteGradientError,
     ParameterSet,
-    ParamGrads,
     adam_step,
     bind_params,
     collect_param_grads,
@@ -73,10 +72,8 @@ from .transform import (
     forward,
     identity_embedder,
     init_params,
-    load_adam_state,
     load_checkpoint,
     make_embedder,
-    save_adam_state,
     save_checkpoint,
 )
 

@@ -157,8 +157,7 @@ def node_embedding(tree: BoundaryTree, node_id: int, embed) -> np.ndarray:
 
     A row not yet filled under embed.cache_key is computed by one
     embed(features) call and stored; a new key first drops every row, and
-    the width may change with it. Not safe for concurrent writers: callers
-    that query from several threads fill every row first (fill_embeddings).
+    the width may change with it.
     """
     if tree.emb_key != embed.cache_key:
         tree.reset_embeddings(embed.cache_key)
@@ -171,13 +170,13 @@ def node_embedding(tree: BoundaryTree, node_id: int, embed) -> np.ndarray:
     return tree.emb[node_id]
 
 
-def fill_embeddings(tree: BoundaryTree, embed, ids=None) -> None:
-    """Make rows `ids` (every node when None) valid under `embed`, with one
-    node_embedding call per missing row."""
+def fill_embeddings(tree: BoundaryTree, embed, ids) -> None:
+    """Make rows `ids` valid under `embed`, with one node_embedding call per
+    missing row."""
     if tree.emb_key != embed.cache_key:
         tree.reset_embeddings(embed.cache_key)
     valid = tree.emb_valid
-    for i in range(len(tree)) if ids is None else ids:
+    for i in ids:
         if not valid[i]:
             node_embedding(tree, i, embed)
 

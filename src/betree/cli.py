@@ -21,7 +21,7 @@ from .data import (
     shuffle_split,
     write_embedding_csv,
 )
-from .trainer import TrainConfig, TrainingDivergedError, evaluate, train, write_train_log
+from .trainer import TrainConfig, TrainingDivergedError, evaluate, hard_error, train, write_train_log
 from .transform import (
     CheckpointFormatError,
     MlpArchitecture,
@@ -188,9 +188,8 @@ def cmd_train(args, parser: _Parser) -> int:
         if args.tree_out:
             save_tree(full_tree, args.tree_out)
         if test_ds is not None and not args.no_final_eval:
-            err, nodes = evaluate(params, train_ds, test_ds, _max_children(args),
-                                  threads=args.eval_threads)
-            print(f"final full-train tree: test_error={err} nodes={nodes}")
+            err = hard_error(full_tree, embedder, test_ds.samples)
+            print(f"final full-train tree: test_error={err} nodes={len(full_tree)}")
     return 0 if log.converged else 2
 
 
@@ -200,8 +199,7 @@ def cmd_eval(args, parser: _Parser) -> int:
     if test_ds is None:
         parser.error("eval needs a test set (idx: --test-images/--test-labels; "
                      "halfmoons/csv: --train-frac < 1)")
-    err, nodes = evaluate(params, train_ds, test_ds, _max_children(args),
-                          threads=args.eval_threads)
+    err, nodes = evaluate(params, train_ds, test_ds, _max_children(args))
     line = f"{repr(float(err))},{nodes}"
     print(line)
     if args.metrics_out:
@@ -282,7 +280,6 @@ def build_parser() -> _Parser:
                    help="also log full-train-tree test error per iteration (slow)")
     p.add_argument("--no-final-eval", action="store_true",
                    help="skip the final full-train tree evaluation")
-    p.add_argument("--eval-threads", type=int, default=1)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="build a full-train tree and report test error")
@@ -292,7 +289,6 @@ def build_parser() -> _Parser:
     p.add_argument("--identity", action="store_true", help="use raw features")
     p.add_argument("--activation", choices=("relu", "tanh"), default="relu")
     p.add_argument("--metrics-out", help="write test_error,node_count to this CSV")
-    p.add_argument("--eval-threads", type=int, default=1)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("export-dot", help="render a boundary tree as a DOT digraph")

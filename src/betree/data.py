@@ -11,6 +11,11 @@ import numpy as np
 from .boundary_tree import Sample
 
 
+# Labels index classes, and every soft prediction loops over all of them, so
+# a CSV label at or above this bound is rejected as malformed input.
+MAX_CLASS_COUNT = 1 << 16
+
+
 class DataFormatError(ValueError):
     """An input file does not match its declared format."""
 
@@ -137,6 +142,8 @@ def load_embedding_csv(path) -> Dataset:
                 raise DataFormatError(f"{path}:{lineno}: non-numeric field ({e})") from e
             if not label_f.is_integer() or label_f < 0:
                 raise DataFormatError(f"{path}:{lineno}: label must be a non-negative integer, got {row[0]!r}")
+            if label_f >= MAX_CLASS_COUNT:
+                raise DataFormatError(f"{path}:{lineno}: label {row[0]!r} is not below {MAX_CLASS_COUNT}")
             label = int(label_f)
             if dim is None:
                 dim = len(values)

@@ -195,7 +195,7 @@ def loss_and_grad(tree: BoundaryTree, params: transform.ParameterSet, sample: Sa
                   sibling_mode: str = "candidates"):
     """Fresh-tape pipeline: greedy_path, class_log_prob, loss, backward.
 
-    Returns (loss value, ParamGrads, clamp event count). Parameters are not
+    Returns (loss value, gradient ParameterSet, clamp event count). Parameters are not
     mutated; the tape is discarded with the return.
     """
     tape = Tape()

@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary_tree import BoundaryTree, build_tree, fill_embeddings, predict_hard
+from .boundary_tree import BoundaryTree, build_tree, predict_hard
 from .soft_path import loss_and_grad
 from .transform import (
     AdamState,
@@ -125,7 +124,10 @@ def converged(log: TrainLog, threshold: float) -> bool:
     return abs(cur - prev) / max(1e-12, abs(prev)) < threshold
 
 
-def _hard_error(tree: BoundaryTree, embedder, samples) -> float:
+def hard_error(tree: BoundaryTree, embedder, samples) -> float:
+    """Fraction of samples the tree misclassifies (0.0 for no samples)."""
+    if not samples:
+        return 0.0
     wrong = sum(1 for s in samples if predict_hard(tree, embedder, s.features) != s.label)
     return wrong / len(samples)
 
@@ -175,7 +177,7 @@ def train(train_set, test_set, config: TrainConfig, *,
                 raise TrainingDivergedError(
                     f"non-finite loss at iteration {iteration}", params, log)
             try:
-                params, adam = adam_step(params, grads, adam)
+                params = adam_step(params, grads, adam)
             except NonFiniteGradientError as e:
                 raise TrainingDivergedError(
                     f"{e} (iteration {iteration})", params, log) from e
@@ -186,10 +188,10 @@ def train(train_set, test_set, config: TrainConfig, *,
         full_test_error = None
         if test_set is not None and test_set.samples:
             embedder = make_embedder(params)
-            test_error = _hard_error(tree, embedder, test_set.samples)
+            test_error = hard_error(tree, embedder, test_set.samples)
             if full_tree_eval:
                 full_tree = build_tree(samples, embedder, config.max_children, class_count)
-                full_test_error = _hard_error(full_tree, embedder, test_set.samples)
+                full_test_error = hard_error(full_tree, embedder, test_set.samples)
 
         log.records.append(IterRecord(
             iteration=iteration,
@@ -208,33 +210,12 @@ def train(train_set, test_set, config: TrainConfig, *,
 
 
 def evaluate(params: ParameterSet | None, train_set, test_set,
-             max_children: int | None = None, threads: int = 1) -> tuple[float, int]:
+             max_children: int | None = None) -> tuple[float, int]:
     """Build a fresh tree over the full train set (identity embedding when
-    params is None) and report hard test error plus the node count.
-
-    The tree's embedding matrix is filled once, every row, before the
-    queries run, so queries only read it; with threads > 1 they run in a
-    pool, and the error count is independent of scheduling.
-    """
+    params is None) and report hard test error plus the node count."""
     embedder = identity_embedder() if params is None else make_embedder(params)
     tree = build_tree(train_set.samples, embedder, max_children, train_set.class_count)
-    fill_embeddings(tree, embedder)
-
-    tests = test_set.samples
-    if not tests:
-        return 0.0, len(tree)
-    if threads <= 1:
-        return _hard_error(tree, embedder, tests), len(tree)
-
-    chunks = [tests[i::threads] for i in range(threads)]
-    chunks = [c for c in chunks if c]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        wrongs = pool.map(
-            lambda c: sum(1 for s in c if predict_hard(tree, embedder, s.features) != s.label),
-            chunks,
-        )
-        wrong = sum(wrongs)
-    return wrong / len(tests), len(tree)
+    return hard_error(tree, embedder, test_set.samples), len(tree)
 
 
 # ---- log serialization -----------------------------------------------------

@@ -15,11 +15,10 @@ from .tape import Tape
 ACTIVATIONS = ("relu", "tanh")
 
 CHECKPOINT_MAGIC = "BETREE-CKPT v1"
-ADAM_MAGIC = "BETREE-ADAM v1"
 
 
 class CheckpointFormatError(ValueError):
-    """Checkpoint or optimizer-state file does not match the expected layout."""
+    """Checkpoint file does not match the expected layout."""
 
 
 class NonFiniteGradientError(FloatingPointError):
@@ -56,53 +55,52 @@ class MlpArchitecture:
     def n_layers(self) -> int:
         return len(self.layer_sizes) - 1
 
+    @property
+    def n_params(self) -> int:
+        sizes = self.layer_sizes
+        return sum(o * i + o for i, o in zip(sizes[:-1], sizes[1:]))
+
 
 class ParameterSet:
-    """Per-layer weights (out, in) and biases (out,), all float64.
+    """All weights and biases in one float64 vector `flat`: per layer, the
+    weight (out, in) row-major, then the bias (out,). `weights[i]` and
+    `biases[i]` are read/write views into `flat`.
 
     Treated as immutable during evaluation passes; adam_step returns a new
-    instance with `version` bumped, which keys embedding caches.
+    instance, and `serial` keys embedding caches. Gradients use the same
+    layout, as a ParameterSet of their own.
     """
 
     _serials = itertools.count(1)
 
-    def __init__(self, arch: MlpArchitecture, weights, biases, version: int = 0):
+    def __init__(self, arch: MlpArchitecture, flat):
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != (arch.n_params,):
+            raise ValueError(f"parameter vector shape {flat.shape} does not match architecture "
+                             f"{arch.layer_sizes} ({arch.n_params} parameters)")
         self.arch = arch
-        self.weights = list(weights)
-        self.biases = list(biases)
-        self.version = version
-        # Process-unique stamp, so caches can never confuse two parameter
-        # sets that happen to share a version number.
+        self.flat = flat
+        # Process-unique stamp, so caches can never confuse two parameter sets.
         self.serial = next(ParameterSet._serials)
-        expected = list(zip(arch.layer_sizes[1:], arch.layer_sizes[:-1]))
-        got_w = [w.shape for w in self.weights]
-        got_b = [b.shape for b in self.biases]
-        if got_w != [s for s in expected] or got_b != [(o,) for o, _ in expected]:
-            raise ValueError(f"parameter shapes {got_w}/{got_b} do not match architecture {arch.layer_sizes}")
+        self.weights, self.biases = [], []
+        pos = 0
+        for fan_in, fan_out in zip(arch.layer_sizes[:-1], arch.layer_sizes[1:]):
+            self.weights.append(flat[pos:pos + fan_out * fan_in].reshape(fan_out, fan_in))
+            pos += fan_out * fan_in
+            self.biases.append(flat[pos:pos + fan_out])
+            pos += fan_out
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.weights + self.biases)
-
-
-@dataclass
-class ParamGrads:
-    """Gradients in the same per-layer layout as ParameterSet."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.weights + self.biases)
+        return bool(np.isfinite(self.flat).all())
 
 
 def init_params(arch: MlpArchitecture, seed: int) -> ParameterSet:
     """He-Gaussian weights (stddev sqrt(2/fan_in)), zero biases."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(arch.layer_sizes[:-1], arch.layer_sizes[1:]):
-        weights.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return ParameterSet(arch, weights, biases)
+    params = ParameterSet(arch, np.zeros(arch.n_params))
+    for w in params.weights:
+        w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[1]), w.shape)
+    return params
 
 
 def bind_params(tape: Tape, params: ParameterSet) -> list[tuple[int, int]]:
@@ -159,7 +157,6 @@ def make_embedder(params: ParameterSet):
     def fn(x):
         return embed(params, x)
 
-    fn.version = params.version
     fn.cache_key = ("mlp", params.serial)
     fn.params = params
     return fn
@@ -171,28 +168,26 @@ def identity_embedder():
     def fn(x):
         return np.asarray(x, dtype=np.float64)
 
-    fn.version = 0
     fn.cache_key = ("identity",)
     fn.params = None
     return fn
 
 
-def collect_param_grads(tape: Tape, params: ParameterSet, grad_map) -> ParamGrads:
-    """Pick this ParameterSet's gradients out of a backward() leaf map."""
+def collect_param_grads(tape: Tape, params: ParameterSet, grad_map) -> ParameterSet:
+    """Pick this ParameterSet's gradients out of a backward() leaf map, in
+    the parameter layout."""
     refs = bind_params(tape, params)
-    weights = [np.asarray(grad_map[w]) for w, _ in refs]
-    biases = [np.asarray(grad_map[b]) for _, b in refs]
-    return ParamGrads(weights, biases)
+    flat = np.concatenate([np.ravel(grad_map[r]) for pair in refs for r in pair])
+    return ParameterSet(params.arch, flat)
 
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators plus the step counter."""
+    """First/second-moment vectors in the parameter layout, plus the step
+    counter; adam_step updates all three in place."""
 
-    m_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -201,70 +196,49 @@ class AdamState:
 
     @classmethod
     def fresh(cls, params: ParameterSet, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> "AdamState":
-        return cls(
-            m_weights=[np.zeros_like(w) for w in params.weights],
-            m_biases=[np.zeros_like(b) for b in params.biases],
-            v_weights=[np.zeros_like(w) for w in params.weights],
-            v_biases=[np.zeros_like(b) for b in params.biases],
-            lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-        )
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat),
+                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(params: ParameterSet, grads: ParamGrads, state: AdamState) -> tuple[ParameterSet, AdamState]:
-    """One bias-corrected Adam update; returns new params and state.
+def adam_step(params: ParameterSet, grads: ParameterSet, state: AdamState) -> ParameterSet:
+    """One bias-corrected Adam update; returns new params and advances
+    `state` in place.
 
     Refuses to apply anything if any gradient entry is non-finite, so a bad
-    step can never half-update the parameters.
+    step can never half-update the parameters or the state.
     """
-    for g, p in zip(grads.weights + grads.biases, params.weights + params.biases):
-        if g.shape != p.shape:
-            raise ValueError(f"adam_step: gradient shape {g.shape} does not match parameter shape {p.shape}")
+    if grads.arch.layer_sizes != params.arch.layer_sizes:
+        raise ValueError(f"adam_step: gradient layout {grads.arch.layer_sizes} does not match "
+                         f"parameter layout {params.arch.layer_sizes}")
     if not grads.all_finite():
         raise NonFiniteGradientError("adam_step: non-finite gradient, step aborted")
 
-    t = state.t + 1
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-
-    def update(p, g, m, v):
-        m_new = state.beta1 * m + (1.0 - state.beta1) * g
-        v_new = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        p_new = p - state.lr * (m_new / bc1) / (np.sqrt(v_new / bc2) + state.eps)
-        return p_new, m_new, v_new
-
-    new_w, new_b = [], []
-    m_w, m_b, v_w, v_b = [], [], [], []
-    for p, g, m, v in zip(params.weights, grads.weights, state.m_weights, state.v_weights):
-        p2, m2, v2 = update(p, g, m, v)
-        new_w.append(p2); m_w.append(m2); v_w.append(v2)
-    for p, g, m, v in zip(params.biases, grads.biases, state.m_biases, state.v_biases):
-        p2, m2, v2 = update(p, g, m, v)
-        new_b.append(p2); m_b.append(m2); v_b.append(v2)
-
-    new_params = ParameterSet(params.arch, new_w, new_b, version=params.version + 1)
-    new_state = AdamState(m_w, m_b, v_w, v_b, t=t,
-                          lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps)
-    return new_params, new_state
+    state.t += 1
+    bc1 = 1.0 - state.beta1 ** state.t
+    bc2 = 1.0 - state.beta2 ** state.t
+    # In place: fresh moment vectors every step fragment the heap enough to
+    # raise peak RSS by about 10% on 784-400-400-20.
+    g, m, v = grads.flat, state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (g * g)
+    flat = params.flat - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    return ParameterSet(params.arch, flat)
 
 
 # ---- checkpoint files ------------------------------------------------------
 #
-# Layout: one ASCII header line, one "out in" line per layer, then raw
-# little-endian float64 payload (per layer: weights row-major, then biases).
-# The Adam sibling file repeats the layer table, adds the step counter on
-# its own line, and stores the first moments then the second moments.
-
-def _layer_table(params: ParameterSet) -> bytes:
-    return "".join(f"{w.shape[0]} {w.shape[1]}\n" for w in params.weights).encode("ascii")
-
+# Layout: one ASCII header line, one "out in" line per layer, then the
+# parameter vector verbatim as little-endian float64 (per layer: weights
+# row-major, then biases).
 
 def save_checkpoint(params: ParameterSet, path) -> None:
+    sizes = params.arch.layer_sizes
+    table = "".join(f"{o} {i}\n" for i, o in zip(sizes[:-1], sizes[1:]))
     with open(path, "wb") as f:
-        f.write(f"{CHECKPOINT_MAGIC}\n".encode("ascii"))
-        f.write(_layer_table(params))
-        for w, b in zip(params.weights, params.biases):
-            f.write(w.astype("<f8").tobytes())
-            f.write(b.astype("<f8").tobytes())
+        f.write(f"{CHECKPOINT_MAGIC}\n{table}".encode("ascii"))
+        f.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def _read_line(buf: bytes, pos: int) -> tuple[str, int]:
@@ -277,7 +251,7 @@ def _read_line(buf: bytes, pos: int) -> tuple[str, int]:
         raise CheckpointFormatError("non-ASCII bytes in header") from e
 
 
-def _parse_layer_table(buf: bytes, pos: int, payload_multiple: int) -> tuple[list[tuple[int, int]], int]:
+def _parse_layer_table(buf: bytes, pos: int) -> tuple[list[tuple[int, int]], int]:
     """Read "out in" lines until the remaining bytes match the implied payload.
 
     The format carries no explicit layer count, but each extra table line
@@ -286,29 +260,17 @@ def _parse_layer_table(buf: bytes, pos: int, payload_multiple: int) -> tuple[lis
     """
     dims: list[tuple[int, int]] = []
     while True:
-        expected = payload_multiple * 8 * sum(o * i + o for o, i in dims)
+        expected = 8 * sum(o * i + o for o, i in dims)
         if dims and len(buf) - pos == expected:
             return dims, pos
         if len(buf) - pos < expected:
             raise CheckpointFormatError("layer table does not match payload size")
         line, nxt = _read_line(buf, pos)
         parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.isdigit() and int(p) > 0 for p in parts):
             raise CheckpointFormatError(f"bad layer table line {line!r}")
         dims.append((int(parts[0]), int(parts[1])))
         pos = nxt
-
-
-def _read_layers(buf: bytes, pos: int, dims) -> tuple[list[np.ndarray], list[np.ndarray], int]:
-    weights, biases = [], []
-    for o, i in dims:
-        w = np.frombuffer(buf, "<f8", o * i, pos).reshape(o, i).copy()
-        pos += o * i * 8
-        b = np.frombuffer(buf, "<f8", o, pos).copy()
-        pos += o * 8
-        weights.append(w)
-        biases.append(b)
-    return weights, biases, pos
 
 
 def load_checkpoint(path, activation: str = "relu") -> ParameterSet:
@@ -317,52 +279,10 @@ def load_checkpoint(path, activation: str = "relu") -> ParameterSet:
     line, pos = _read_line(buf, 0)
     if line != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"bad checkpoint magic {line!r}, expected {CHECKPOINT_MAGIC!r}")
-    dims, pos = _parse_layer_table(buf, pos, payload_multiple=1)
+    dims, pos = _parse_layer_table(buf, pos)
     for (o_prev, _), (_, i_next) in zip(dims[:-1], dims[1:]):
         if o_prev != i_next:
             raise CheckpointFormatError(f"layer table dims do not chain: {dims}")
-    weights, biases, _ = _read_layers(buf, pos, dims)
     arch = MlpArchitecture((dims[0][1], *(o for o, _ in dims)), activation)
-    return ParameterSet(arch, weights, biases)
-
-
-def save_adam_state(state: AdamState, params: ParameterSet, path) -> None:
-    with open(path, "wb") as f:
-        f.write(f"{ADAM_MAGIC}\n".encode("ascii"))
-        f.write(_layer_table(params))
-        f.write(f"{state.t}\n".encode("ascii"))
-        for w, b in zip(state.m_weights, state.m_biases):
-            f.write(w.astype("<f8").tobytes())
-            f.write(b.astype("<f8").tobytes())
-        for w, b in zip(state.v_weights, state.v_biases):
-            f.write(w.astype("<f8").tobytes())
-            f.write(b.astype("<f8").tobytes())
-
-
-def load_adam_state(path, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
-    with open(path, "rb") as f:
-        buf = f.read()
-    line, pos = _read_line(buf, 0)
-    if line != ADAM_MAGIC:
-        raise CheckpointFormatError(f"bad optimizer-state magic {line!r}, expected {ADAM_MAGIC!r}")
-    # The step-counter line sits between the layer table and the payload, so
-    # scan dims manually: two-int lines are layers, the one-int line is t.
-    dims: list[tuple[int, int]] = []
-    while True:
-        line, nxt = _read_line(buf, pos)
-        parts = line.split()
-        if len(parts) == 2 and all(p.isdigit() for p in parts):
-            dims.append((int(parts[0]), int(parts[1])))
-            pos = nxt
-            continue
-        if len(parts) == 1 and parts[0].isdigit():
-            t = int(parts[0])
-            pos = nxt
-            break
-        raise CheckpointFormatError(f"bad optimizer-state header line {line!r}")
-    expected = 2 * 8 * sum(o * i + o for o, i in dims)
-    if not dims or len(buf) - pos != expected:
-        raise CheckpointFormatError("optimizer-state layer table does not match payload size")
-    m_w, m_b, pos = _read_layers(buf, pos, dims)
-    v_w, v_b, _ = _read_layers(buf, pos, dims)
-    return AdamState(m_w, m_b, v_w, v_b, t=t, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    # The copy keeps the loaded parameters writable.
+    return ParameterSet(arch, np.frombuffer(buf, "<f8", offset=pos).copy())

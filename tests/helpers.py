@@ -120,7 +120,7 @@ def bind_as_leaves(tape, arch, weight_refs, bias_refs):
     can differentiate the full pipeline with respect to them."""
     from betree.transform import ParameterSet
 
-    params = ParameterSet(arch, [tape.value(r) for r in weight_refs],
-                          [tape.value(r) for r in bias_refs])
-    tape.bound_params[id(params)] = list(zip(weight_refs, bias_refs))
+    pairs = list(zip(weight_refs, bias_refs))
+    params = ParameterSet(arch, np.concatenate([np.ravel(tape.value(r)) for pair in pairs for r in pair]))
+    tape.bound_params[id(params)] = pairs
     return params

@@ -231,7 +231,7 @@ def test_criterion_6_mnist_desk_scale(capsys):
     subset = Dataset(train_full.samples[:10000], train_full.feature_dim,
                      train_full.class_count, train_full.provenance)
 
-    raw_err, raw_nodes = evaluate(None, subset, test_ds, threads=4)
+    raw_err, raw_nodes = evaluate(None, subset, test_ds)
 
     config = TrainConfig(
         arch=MlpArchitecture((784, 400, 400, 20)),
@@ -243,7 +243,7 @@ def test_criterion_6_mnist_desk_scale(capsys):
         seed=2,
     )
     params, log = train(subset, None, config)
-    learned_err, learned_nodes = evaluate(params, subset, test_ds, threads=4)
+    learned_err, learned_nodes = evaluate(params, subset, test_ds)
     elapsed = time.perf_counter() - t0
     ok = (raw_err <= 0.15 and learned_err <= 0.05 and learned_nodes <= 1000
           and elapsed <= 7200.0)

@@ -227,7 +227,6 @@ def test_node_embedding_cache_keyed_by_embedder():
             calls["n"] += 1
             return np.asarray(x, dtype=np.float64)
 
-        fn.version = 0
         fn.cache_key = key
         fn.params = None
         return fn
@@ -248,13 +247,13 @@ def test_node_embedding_cache_keyed_by_embedder():
         return np.append(x, -1.0)
 
     widen.cache_key = ("widen",)
-    fill_embeddings(tree, widen)
+    fill_embeddings(tree, widen, range(len(tree)))
     assert calls["n"] == 5 and tree.emb.shape[1] == 3
     assert np.array_equal(tree.emb[:2], [[0.0, 0.0, -1.0], [4.0, 0.0, -1.0]])
-    fill_embeddings(tree, widen)
+    fill_embeddings(tree, widen, range(len(tree)))
     assert calls["n"] == 5  # every row already valid under this key
     assert traverse(tree, widen, np.array([3.0, 0.0])).final == 1
-    fill_embeddings(tree, IDENT)
+    fill_embeddings(tree, IDENT, range(len(tree)))
     assert tree.emb.shape[1] == 2 and np.array_equal(tree.emb[:2], [[0.0, 0.0], [4.0, 0.0]])
 
 
@@ -291,7 +290,7 @@ def test_embedding_matrix_grows_and_traverse_matches_per_candidate_replay():
             replay = [l2_value(q_emb, embed(params, tree.nodes[c].sample.features))
                       for c in step.candidates]
             assert step.distances.tolist() == replay
-    fill_embeddings(tree, embedder)
+    fill_embeddings(tree, embedder, range(len(tree)))
     assert tree.emb_valid[:len(tree)].all()
 
 

@@ -97,6 +97,37 @@ def test_train_tree_out_snapshot(tmp_path):
     assert len(tree) >= 1 and tree.class_count == 2 and tree.feature_dim == 2
 
 
+def test_train_builds_the_full_train_tree_once(tmp_path, monkeypatch, capsys):
+    import betree.cli
+    import betree.trainer
+
+    sizes = []
+
+    def counting(build):
+        def wrapper(samples, *args, **kwargs):
+            sizes.append(len(samples))
+            return build(samples, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(betree.cli, "build_tree", counting(betree.cli.build_tree))
+    monkeypatch.setattr(betree.trainer, "build_tree", counting(betree.trainer.build_tree))
+    ckpt, tree_path = tmp_path / "m.ckpt", tmp_path / "final.btree"
+    code = run(FAST_TRAIN + ["--checkpoint-out", str(ckpt), "--log", str(tmp_path / "l.csv"),
+                             "--tree-out", str(tree_path)])
+    assert code == 2
+    train_size = 64  # 80 half-moons samples at the default 0.8 train fraction
+    assert sizes.count(train_size) == 1
+    final = re.search(r"final full-train tree: test_error=(\S+) nodes=(\d+)",
+                      capsys.readouterr().out)
+    assert int(final.group(2)) == len(load_tree(tree_path))
+
+    # the same checkpoint and split through `eval` report the same figures
+    assert run(["eval", "--dataset", "halfmoons", "--n", "80", "--seed", "1",
+                "--checkpoint", str(ckpt)]) == 0
+    err_s, nodes_s = capsys.readouterr().out.strip().split(",")
+    assert (float(err_s), int(nodes_s)) == (float(final.group(1)), int(final.group(2)))
+
+
 def test_missing_input_file_exits_1(tmp_path, capsys):
     code = run(["eval", "--dataset", "csv", "--csv", str(tmp_path / "absent.csv"),
                 "--identity"])
@@ -134,7 +165,7 @@ def test_eval_checkpoint_round_trip(tmp_path, capsys):
     ckpt = tmp_path / "net.ckpt"
     save_checkpoint(params, ckpt)
     code = run(["eval", "--dataset", "halfmoons", "--n", "80", "--seed", "2",
-                "--checkpoint", str(ckpt), "--eval-threads", "3"])
+                "--checkpoint", str(ckpt)])
     assert code == 0
     err_s, nodes_s = capsys.readouterr().out.strip().split(",")
     assert 0.0 <= float(err_s) <= 1.0 and int(nodes_s) >= 1

@@ -15,6 +15,7 @@ from betree import (
     shuffle_split,
     write_embedding_csv,
 )
+from betree.data import MAX_CLASS_COUNT
 from oracles import ref_1nn
 
 
@@ -181,6 +182,8 @@ def test_csv_error_cases(tmp_path):
         "neglabel.csv": ("-2,1.0\n", "non-negative integer"),
         "nanlabel.csv": ("nan,1.0\n", "non-negative integer"),
         "inflabel.csv": ("inf,1.0\n", "non-negative integer"),
+        "hugelabel.csv": ("0,1.0\n1e300,2.0\n", r"hugelabel\.csv:2: label '1e300' is not below"),
+        "limitlabel.csv": (f"{MAX_CLASS_COUNT},1.0\n", f"not below {MAX_CLASS_COUNT}"),
         "short.csv": ("3\n", "field"),
         "empty.csv": ("# nothing here\n", "no data rows"),
         "headeronly.csv": ("label,e1\n", "no data rows"),

@@ -253,8 +253,7 @@ def test_uniform_zero_net_loss():
     # all-zero MLP embeds everything identically: softmax uniform, walk stays
     # at the root, and the loss is the log of the true-class candidate share
     arch = MlpArchitecture((1, 3, 2))
-    zeros = ParameterSet(arch, [np.zeros((3, 1)), np.zeros((2, 3))],
-                         [np.zeros(3), np.zeros(2)])
+    zeros = ParameterSet(arch, np.zeros(arch.n_params))
     tree = leaf_stop_tree()
     value, grads, clamps = loss_and_grad(tree, zeros, Sample([9.0], 0))
     assert abs(value - math.log(3.0)) < 1e-12  # p(label 0) = 1/3

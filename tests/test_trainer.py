@@ -171,15 +171,6 @@ def test_evaluate_root_only_identity():
     assert err == 0.0 and nodes == 1
 
 
-def test_evaluate_threaded_matches_sequential():
-    data = gen_half_moons(200, 0.15, seed=11)
-    test = gen_half_moons(101, 0.15, seed=12)
-    seq = evaluate(None, data, test, threads=1)
-    par = evaluate(None, data, test, threads=4)
-    assert seq == par
-    assert 0.0 <= seq[0] <= 1.0 and seq[1] >= 2
-
-
 def test_evaluate_with_learned_params():
     data = gen_half_moons(60, 0.1, seed=13)
     params, _ = train(data, None, tiny_config(max_outer_iters=2))

@@ -11,7 +11,6 @@ from betree.transform import (
     CheckpointFormatError,
     MlpArchitecture,
     NonFiniteGradientError,
-    ParamGrads,
     ParameterSet,
     adam_step,
     bind_params,
@@ -20,10 +19,8 @@ from betree.transform import (
     forward,
     identity_embedder,
     init_params,
-    load_adam_state,
     load_checkpoint,
     make_embedder,
-    save_adam_state,
     save_checkpoint,
 )
 from oracles import ref_adam_step, ref_mlp_forward
@@ -60,7 +57,7 @@ def test_init_params_deterministic():
 def test_parameter_set_rejects_wrong_shapes():
     arch = MlpArchitecture((3, 2))
     with pytest.raises(ValueError):
-        ParameterSet(arch, [np.zeros((2, 2))], [np.zeros(2)])
+        ParameterSet(arch, np.zeros(6))
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -127,8 +124,7 @@ def test_embedder_stamps():
 
 
 def _random_grads(rng, params):
-    return ParamGrads([rng.normal(size=w.shape) for w in params.weights],
-                      [rng.normal(size=b.shape) for b in params.biases])
+    return ParameterSet(params.arch, rng.normal(size=params.arch.n_params))
 
 
 def test_adam_step_matches_reference_formulas():
@@ -140,13 +136,12 @@ def test_adam_step_matches_reference_formulas():
     ref_v = [np.zeros_like(w) for w in params.weights]
     for t in (1, 2, 3):
         grads = _random_grads(rng, params)
-        new_params, state = adam_step(params, grads, state)
+        new_params = adam_step(params, grads, state)
         for i in range(len(ref_w)):
             ref_w[i], ref_m[i], ref_v[i] = ref_adam_step(
                 ref_w[i], grads.weights[i], ref_m[i], ref_v[i], t, 0.01, 0.8, 0.95, 1e-7)
             assert np.allclose(new_params.weights[i], ref_w[i], atol=1e-12)
         assert state.t == t
-        assert new_params.version == params.version + 1
         params = new_params
 
 
@@ -154,11 +149,16 @@ def test_adam_step_leaves_inputs_untouched():
     rng = np.random.default_rng(16)
     params = init_params(MlpArchitecture((2, 3)), 17)
     before = [w.copy() for w in params.weights]
+    flat_before = params.flat.tobytes()
+    grads = _random_grads(rng, params)
+    grads_before = grads.flat.tobytes()
     state = AdamState.fresh(params)
-    new_params, new_state = adam_step(params, _random_grads(rng, params), state)
+    new_params = adam_step(params, grads, state)
     assert all(np.array_equal(a, b) for a, b in zip(params.weights, before))
-    assert state.t == 0 and new_state.t == 1
+    assert params.flat.tobytes() == flat_before
+    assert grads.flat.tobytes() == grads_before
     assert new_params is not params
+    assert not np.shares_memory(new_params.flat, params.flat)
 
 
 def test_adam_step_aborts_on_nonfinite_gradient():
@@ -169,11 +169,12 @@ def test_adam_step_aborts_on_nonfinite_gradient():
     with pytest.raises(NonFiniteGradientError):
         adam_step(params, grads, state)
     assert state.t == 0  # nothing advanced
+    assert not state.m.any() and not state.v.any()
 
 
 def test_adam_step_rejects_shape_mismatch():
     params = init_params(MlpArchitecture((2, 2)), 0)
-    grads = ParamGrads([np.zeros((3, 3))], [np.zeros(2)])
+    grads = ParameterSet(MlpArchitecture((3, 3)), np.zeros(12))
     with pytest.raises(ValueError):
         adam_step(params, grads, AdamState.fresh(params))
 
@@ -186,6 +187,48 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert loaded.arch.layer_sizes == (5, 8, 8, 3)
     assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, params.weights))
     assert all(np.array_equal(a, b) for a, b in zip(loaded.biases, params.biases))
+
+
+def test_checkpoint_is_header_then_parameter_vector(tmp_path):
+    # bytes assembled here, independently of save_checkpoint: the v1 layout
+    params = init_params(MlpArchitecture((4, 6, 3)), 24)
+    params.biases[0][:] = np.arange(6) - 2.5
+    header = b"BETREE-CKPT v1\n6 4\n3 6\n"
+    expected = header + b"".join(
+        w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
+        for w, b in zip(params.weights, params.biases))
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(params, path)
+    assert path.read_bytes() == expected
+
+    rng = np.random.default_rng(25)
+    layers = [(rng.normal(size=(6, 4)), rng.normal(size=6)), (rng.normal(size=(3, 6)), rng.normal(size=3))]
+    assembled = tmp_path / "assembled.ckpt"
+    assembled.write_bytes(header + b"".join(
+        w.astype("<f8").tobytes() + b.astype("<f8").tobytes() for w, b in layers))
+    loaded = load_checkpoint(assembled)
+    flat = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
+    assert loaded.flat.tobytes() == flat.tobytes()
+    loaded.flat[0] = 1.0  # writable, not a view of the file buffer
+    assert loaded.weights[0][0, 0] == 1.0
+
+
+def test_layer_arrays_are_views_of_the_flat_vector(tmp_path):
+    params = init_params(MlpArchitecture((3, 5, 4, 2)), 26)
+    save_checkpoint(params, tmp_path / "net.ckpt")
+    loaded = load_checkpoint(tmp_path / "net.ckpt")
+    tape = Tape()
+    out = tape.sum_elements(forward(tape, params, np.ones(3)))
+    grad_map = tape.backward(out)
+    grads = collect_param_grads(tape, params, grad_map)
+    for (w_ref, b_ref), gw, gb in zip(bind_params(tape, params), grads.weights, grads.biases):
+        assert np.array_equal(gw, grad_map[w_ref]) and np.array_equal(gb, grad_map[b_ref])
+    stepped = adam_step(params, grads, AdamState.fresh(params))
+    for p in (params, loaded, grads, stepped):
+        assert p.flat.shape == (p.arch.n_params,)
+        for i in range(p.arch.n_layers):
+            assert np.shares_memory(p.weights[i], p.flat)
+            assert np.shares_memory(p.biases[i], p.flat)
 
 
 def test_checkpoint_preserves_ambiguous_looking_layers(tmp_path):
@@ -215,6 +258,13 @@ def test_checkpoint_rejects_truncated_payload(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_zero_width_layer(tmp_path):
+    path = tmp_path / "zero.ckpt"
+    path.write_bytes(b"BETREE-CKPT v1\n0 2\n")
+    with pytest.raises(CheckpointFormatError, match="layer table line"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_nonchaining_dims(tmp_path):
     path = tmp_path / "chain.ckpt"
     # layer table says outputs 2 wide, but the next layer wants 4 inputs
@@ -222,29 +272,6 @@ def test_checkpoint_rejects_nonchaining_dims(tmp_path):
     path.write_bytes(b"BETREE-CKPT v1\n2 3\n2 4\n" + payload)
     with pytest.raises(CheckpointFormatError, match="chain"):
         load_checkpoint(path)
-
-
-def test_adam_state_round_trip(tmp_path):
-    rng = np.random.default_rng(22)
-    params = init_params(MlpArchitecture((4, 6, 2)), 23)
-    state = AdamState.fresh(params, lr=0.02)
-    for _ in range(3):
-        _, state = adam_step(params, _random_grads(rng, params), state)
-    path = tmp_path / "opt.adam"
-    save_adam_state(state, params, path)
-    loaded = load_adam_state(path, lr=0.02)
-    assert loaded.t == 3
-    for a, b in zip(loaded.m_weights + loaded.v_weights, state.m_weights + state.v_weights):
-        assert np.array_equal(a, b)
-    for a, b in zip(loaded.m_biases + loaded.v_biases, state.m_biases + state.v_biases):
-        assert np.array_equal(a, b)
-
-
-def test_adam_state_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.adam"
-    path.write_bytes(b"BETREE-CKPT v1\n2 2\n0\n" + b"\x00" * 96)
-    with pytest.raises(CheckpointFormatError, match="magic"):
-        load_adam_state(path)
 
 
 def test_all_finite_flags():
