@@ -37,9 +37,7 @@ from .data import (
     write_embedding_csv,
 )
 from .soft_path import (
-    SIBLING_MODES,
     ClassLogProb,
-    Decision,
     PathTrace,
     class_log_prob,
     greedy_path,
@@ -48,7 +46,7 @@ from .soft_path import (
     path_log_prob,
     predict_soft,
 )
-from .tape import LOG_FLOOR, ShapeError, Tape, grad_check, l2_value
+from .tape import LOG_FLOOR, ShapeError, Tape, grad_check, l2_value, neg_dist_log_softmax_value
 from .trainer import (
     IterRecord,
     TrainConfig,

@@ -161,7 +161,6 @@ def cmd_train(args, parser: _Parser) -> int:
         lr=args.lr,
         seed=args.seed + 2,
         max_children=_max_children(args),
-        sibling_mode=args.sibling_mode,
     )
     comment = _runspec(args)
 
@@ -269,8 +268,6 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=1e-3,
                    help="relative mean-loss change that counts as converged")
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--sibling-mode", choices=("candidates", "tree"), default="candidates",
-                   help="aggregation set for the class prediction")
     p.add_argument("--checkpoint-out", default="model.ckpt")
     p.add_argument("--log", default="trainlog.csv")
     p.add_argument("--tree-out", help="also save the final full-train tree snapshot")

@@ -40,6 +40,18 @@ def l2_value(a: np.ndarray, b: np.ndarray):
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
+def neg_dist_log_softmax_value(dists: np.ndarray) -> np.ndarray:
+    """Log of softmax(-d) over a vector of distances, max-subtracted so
+    large distances cannot underflow the normalizer.
+
+    The single log-softmax kernel, shared by the tape op and the plain
+    path probability of a traversal.
+    """
+    neg = -dists
+    m = neg.max()
+    return neg - (m + np.log(np.sum(np.exp(neg - m))))
+
+
 class _Node:
     __slots__ = ("value", "parents", "vjp", "clamped")
 
@@ -154,17 +166,14 @@ class Tape:
     # ---- scalar ops ------------------------------------------------------
 
     def neg_dist_log_softmax(self, dists: list[int]) -> list[int]:
-        """Log of softmax(-d) over a candidate set of scalar distances.
-
-        Uses max-subtraction so large distances cannot underflow the
-        normalizer. Returns one scalar ref per candidate, in order.
+        """Log of softmax(-d) over a candidate set of scalar distances, with
+        values from neg_dist_log_softmax_value. Returns one scalar ref per
+        candidate, in order.
         """
         if not dists:
             raise ValueError("neg_dist_log_softmax: empty candidate list")
-        neg = np.array([-float(self.nodes[r].value) for r in dists])
-        m = neg.max()
-        lse = m + np.log(np.sum(np.exp(neg - m)))
-        logps = neg - lse
+        d = np.array([self.nodes[r].value for r in dists], dtype=np.float64)
+        logps = neg_dist_log_softmax_value(d)
         probs = np.exp(logps)
         parents = tuple(dists)
 
@@ -180,17 +189,6 @@ class Tape:
             out.append(self._push(np.float64(logps[j]), parents, vjp))
         return out
 
-    def add(self, a: int, b: int) -> int:
-        av = self.nodes[a].value
-        bv = self.nodes[b].value
-        if np.shape(av) != np.shape(bv):
-            raise ShapeError(f"add: shapes {np.shape(av)} and {np.shape(bv)} differ")
-
-        def vjp(g):
-            return g, g
-
-        return self._push(av + bv, (a, b), vjp)
-
     def sub(self, a: int, b: int) -> int:
         av = self.nodes[a].value
         bv = self.nodes[b].value
@@ -201,17 +199,6 @@ class Tape:
             return g, -g
 
         return self._push(av - bv, (a, b), vjp)
-
-    def mul(self, a: int, b: int) -> int:
-        av = self.nodes[a].value
-        bv = self.nodes[b].value
-        if np.shape(av) != np.shape(bv):
-            raise ShapeError(f"mul: shapes {np.shape(av)} and {np.shape(bv)} differ")
-
-        def vjp(g):
-            return g * bv, g * av
-
-        return self._push(av * bv, (a, b), vjp)
 
     def neg(self, x: int) -> int:
         xv = self.nodes[x].value
@@ -261,15 +248,6 @@ class Tape:
             return tuple(g for _ in refs)
 
         return self._push(total, tuple(refs), vjp)
-
-    def sum_elements(self, x: int) -> int:
-        """Sum of all elements of a node (scalar output)."""
-        xv = self.nodes[x].value
-
-        def vjp(g):
-            return (np.full(np.shape(xv), g),)
-
-        return self._push(np.float64(np.sum(xv)), (x,), vjp)
 
     # ---- backward --------------------------------------------------------
 

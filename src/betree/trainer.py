@@ -38,7 +38,6 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 0
     max_children: int | None = None
-    sibling_mode: str = "candidates"
 
     def __post_init__(self):
         if self.tree_build_samples < 1:
@@ -171,7 +170,7 @@ def train(train_set, test_set, config: TrainConfig, *,
         losses = []
         clamps = 0
         for s in stream.take(config.grad_steps_per_iter):
-            value, grads, step_clamps = loss_and_grad(tree, params, s, config.sibling_mode)
+            value, grads, step_clamps = loss_and_grad(tree, params, s)
             clamps += step_clamps
             if not math.isfinite(value):
                 raise TrainingDivergedError(

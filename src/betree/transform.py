@@ -158,7 +158,6 @@ def make_embedder(params: ParameterSet):
         return embed(params, x)
 
     fn.cache_key = ("mlp", params.serial)
-    fn.params = params
     return fn
 
 
@@ -169,7 +168,6 @@ def identity_embedder():
         return np.asarray(x, dtype=np.float64)
 
     fn.cache_key = ("identity",)
-    fn.params = None
     return fn
 
 

@@ -124,3 +124,17 @@ def bind_as_leaves(tape, arch, weight_refs, bias_refs):
     params = ParameterSet(arch, np.concatenate([np.ravel(tape.value(r)) for pair in pairs for r in pair]))
     tape.bound_params[id(params)] = pairs
     return params
+
+
+def tape_sum(tape, refs, weights=None):
+    """One scalar node holding sum_i weights[i] * sum(value of refs[i])
+    (weights default to 1): the scalar reduction grad checks need, since
+    the tape itself only sums scalars."""
+    weights = [1.0] * len(refs) if weights is None else list(weights)
+    values = [tape.value(r) for r in refs]
+    total = np.float64(sum(w * np.sum(v) for w, v in zip(weights, values)))
+
+    def vjp(g):
+        return tuple(np.full(np.shape(v), g * w) for w, v in zip(weights, values))
+
+    return tape._push(total, tuple(refs), vjp)

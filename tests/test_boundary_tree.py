@@ -228,7 +228,6 @@ def test_node_embedding_cache_keyed_by_embedder():
             return np.asarray(x, dtype=np.float64)
 
         fn.cache_key = key
-        fn.params = None
         return fn
 
     e1 = counted(("count", 1))

@@ -1,17 +1,21 @@
 """Softened traversal: path probabilities, class aggregation, loss, gradients."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from betree import (
+    AdamState,
     STOP_LEAF,
     STOP_STAYED,
     MlpArchitecture,
     ParameterSet,
     Sample,
     Tape,
+    adam_step,
+    build_tree,
     class_log_prob,
     collect_param_grads,
     greedy_path,
@@ -20,6 +24,7 @@ from betree import (
     loss,
     loss_and_grad,
     make_embedder,
+    neg_dist_log_softmax_value,
     new_tree,
     path_log_prob,
     predict_hard,
@@ -91,10 +96,35 @@ def test_greedy_path_mirrors_hard_traverse(use_mlp):
         pt = greedy_path(Tape(), tree, params, q)
         assert soft_visited(pt) == hard.visited
         assert (pt.final, pt.stop_mode) == (hard.final, hard.stop_mode)
+        assert len(pt.decisions) == len(hard.steps)
         for dec, step in zip(pt.decisions, hard.steps):
             assert (dec.node, dec.candidates, dec.chosen) == (step.node, step.candidates, step.chosen)
-            soft_dists = np.array([pt.tape.value(r) for r in dec.dist_refs])
-            assert np.array_equal(soft_dists, step.distances)
+            assert np.array_equal(dec.distances, step.distances)
+        if pt.decisions:
+            # the distances the loss differentiates are the walk's last ones
+            clp = class_log_prob(pt)
+            on_tape = np.array([pt.tape.value(r) for r in clp.dist_refs])
+            assert np.array_equal(on_tape, pt.decisions[-1].distances)
+
+
+def test_soft_path_leaves_hard_predictions_unchanged():
+    # greedy_path refills the tree's embedding rows under a key of its own,
+    # so on one tree, gradient steps under moving parameters, soft
+    # predictions (another width) and hard predictions must each match a
+    # fresh copy of the tree that no soft path has touched
+    rng = np.random.default_rng(207)
+    hard_emb = make_embedder(init_params(MlpArchitecture((3, 6, 4)), 208))
+    params = init_params(MlpArchitecture((3, 5, 2)), 209)
+    adam = AdamState.fresh(params)
+    tree = build_tree(random_samples(rng, 60, 3, 3), hard_emb, None, 3)
+    untouched = copy.deepcopy(tree)
+    for s in random_samples(rng, 30, 3, 3):
+        value, grads, _ = loss_and_grad(tree, params, s)
+        assert value == loss_and_grad(copy.deepcopy(untouched), params, s)[0]
+        params = adam_step(params, grads, adam)
+        assert np.array_equal(predict_soft(tree, None, s.features),
+                              predict_soft(copy.deepcopy(untouched), None, s.features))
+        assert predict_hard(tree, hard_emb, s.features) == predict_hard(untouched, hard_emb, s.features)
 
 
 def test_decision_probabilities_normalize():
@@ -104,10 +134,9 @@ def test_decision_probabilities_normalize():
         tape = Tape()
         pt = greedy_path(tape, tree, None, rng.normal(size=2))
         for dec in pt.decisions:
-            probs = np.exp([float(tape.value(r)) for r in dec.logp_refs])
+            probs = np.exp(neg_dist_log_softmax_value(dec.distances))
             assert abs(probs.sum() - 1.0) < 1e-12
-            dists = [float(tape.value(r)) for r in dec.dist_refs]
-            assert np.allclose(probs, softmax_neg(dists), atol=1e-14)
+            assert np.allclose(probs, softmax_neg(dec.distances), atol=1e-14)
 
 
 # ---- path_log_prob -----------------------------------------------------------
@@ -200,8 +229,7 @@ def test_class_probs_normalize_and_prefix_cancels():
         # independent evaluation of the aggregation: softmax over the last
         # decision's distances, decision node masked out on a leaf stop
         last = pt.decisions[-1]
-        dists = [float(tape.value(r)) for r in last.dist_refs]
-        w = softmax_neg(dists)
+        w = softmax_neg(last.distances)
         expected = np.zeros(class_count)
         for i, cid in enumerate(last.candidates):
             if pt.stop_mode == STOP_LEAF and cid == last.node:
@@ -287,45 +315,6 @@ def test_single_node_tree_has_zero_gradients():
     value, grads, clamps = loss_and_grad(tree, params, Sample([1.0, 1.0], 0))
     assert value == 0.0 and clamps == 0
     assert all(np.all(g == 0.0) for g in grads.weights + grads.biases)
-
-
-# ---- sibling_mode="tree" -------------------------------------------------------
-
-def test_tree_mode_equals_candidates_mode_on_leaf_stop():
-    tree = leaf_stop_tree()
-    for q in ([3.0], [4.6]):
-        a = predict_soft(tree, None, np.array(q), sibling_mode="candidates")
-        b = predict_soft(tree, None, np.array(q), sibling_mode="tree")
-        assert np.allclose(a, b, atol=1e-15)
-
-
-def test_tree_mode_uses_level_above_on_stayed_stop():
-    # query 4.2 descends root->child then stays at the child; tree-siblings of
-    # the child are the aggregation set, which here is the child alone
-    tree = new_tree(Sample([0.0], 0))
-    tree.add_child(0, Sample([4.0], 1))
-    tree.add_child(1, Sample([10.0], 0))
-    q = np.array([4.2])
-    tape = Tape()
-    pt = greedy_path(tape, tree, None, q)
-    assert pt.stop_mode == STOP_STAYED and pt.final == 1
-    tree_probs = predict_soft(tree, None, q, sibling_mode="tree")
-    assert abs(tree_probs[1] - 1.0) < 1e-12
-    cand_probs = predict_soft(tree, None, q, sibling_mode="candidates")
-    assert cand_probs[0] > 1e-4  # candidates mode keeps the grandchild's mass
-
-
-def test_tree_mode_degenerate_stay_at_root():
-    tree = new_tree(Sample([0.0], 0))
-    tree.add_child(0, Sample([2.0], 1))
-    probs = predict_soft(tree, None, np.array([0.1]), sibling_mode="tree")
-    assert abs(probs[0] - 1.0) < 1e-15
-
-
-def test_unknown_sibling_mode_rejected():
-    tree = leaf_stop_tree()
-    with pytest.raises(ValueError):
-        predict_soft(tree, None, np.array([3.0]), sibling_mode="parent")
 
 
 # ---- predict_soft vs predict_hard ---------------------------------------------

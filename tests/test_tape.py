@@ -14,7 +14,9 @@ from betree.tape import (
     Tape,
     grad_check,
     l2_value,
+    neg_dist_log_softmax_value,
 )
+from helpers import tape_sum
 from oracles import fd_gradient, softmax_neg
 
 
@@ -68,7 +70,7 @@ def test_matmul_add_gradients_match_fd():
     def run(w_, x_, b_):
         tape = Tape()
         rw, rx, rb = tape.leaf(w_), tape.leaf(x_), tape.leaf(b_)
-        out = tape.sum_elements(tape.matmul_add(rw, rx, rb))
+        out = tape_sum(tape, [tape.matmul_add(rw, rx, rb)])
         return tape, (rw, rx, rb), out
 
     tape, refs, out = run(w, x, b)
@@ -102,18 +104,18 @@ def test_elementwise_gradients_match_fd(op):
 
     def f(a):
         tape = Tape()
-        return float(tape.value(tape.sum_elements(getattr(tape, op)(tape.leaf(a)))))
+        return float(tape.value(tape_sum(tape, [getattr(tape, op)(tape.leaf(a))])))
 
     tape = Tape()
     ref = tape.leaf(v)
-    grads = tape.backward(tape.sum_elements(getattr(tape, op)(ref)))
+    grads = tape.backward(tape_sum(tape, [getattr(tape, op)(ref)]))
     assert np.allclose(grads[ref], fd_gradient(f, v), atol=1e-7)
 
 
 def test_relu_subgradient_at_zero_is_zero():
     tape = Tape()
     ref = tape.leaf([0.0, -1.0, 2.0])
-    grads = tape.backward(tape.sum_elements(tape.relu(ref)))
+    grads = tape.backward(tape_sum(tape, [tape.relu(ref)]))
     assert np.array_equal(grads[ref], [0.0, 0.0, 1.0])
 
 
@@ -191,6 +193,8 @@ def test_log_softmax_values_match_oracle_and_normalize():
         logps = np.array([float(tape.value(r)) for r in out])
         assert abs(np.exp(logps).sum() - 1.0) < 1e-12
         assert np.allclose(np.exp(logps), softmax_neg(dists), atol=1e-12)
+        # the tape op and plain path probabilities share one kernel
+        assert np.array_equal(logps, neg_dist_log_softmax_value(dists))
 
 
 def test_log_softmax_shift_invariance():
@@ -211,18 +215,12 @@ def test_log_softmax_gradients_match_fd():
         tape = Tape()
         refs = [tape.leaf(d) for d in ds]
         out = tape.neg_dist_log_softmax(refs)
-        total = tape.constant(0.0)
-        for wgt, r in zip(weights, out):
-            total = tape.add(total, tape.mul(tape.constant(wgt), r))
-        return float(tape.value(total))
+        return float(tape.value(tape_sum(tape, out, weights)))
 
     tape = Tape()
     refs = [tape.leaf(d) for d in dists]
     out = tape.neg_dist_log_softmax(refs)
-    total = tape.constant(0.0)
-    for wgt, r in zip(weights, out):
-        total = tape.add(total, tape.mul(tape.constant(wgt), r))
-    grads = tape.backward(total)
+    grads = tape.backward(tape_sum(tape, out, weights))
     analytic = np.array([float(grads[r]) for r in refs])
     assert np.allclose(analytic, fd_gradient(f, dists), atol=1e-7)
 
@@ -237,16 +235,13 @@ def test_scalar_ops_values_and_gradients():
     x, y = 1.3, -0.4
 
     def build(tape, rx, ry):
-        # exp(x*y) + (x - y) - (-x)
-        return tape.sub(
-            tape.add(tape.exp(tape.mul(rx, ry)), tape.sub(rx, ry)),
-            tape.neg(rx),
-        )
+        # exp(x - y) - (-x)
+        return tape.sub(tape.exp(tape.sub(rx, ry)), tape.neg(rx))
 
     tape = Tape()
     rx, ry = tape.leaf(x), tape.leaf(y)
     out = build(tape, rx, ry)
-    expected = math.exp(x * y) + (x - y) + x
+    expected = math.exp(x - y) + x
     assert math.isclose(float(tape.value(out)), expected, rel_tol=1e-12)
     grads = tape.backward(out)
 
@@ -261,9 +256,8 @@ def test_scalar_ops_values_and_gradients():
 def test_binary_op_shape_mismatch():
     tape = Tape()
     a, b = tape.leaf(np.ones(2)), tape.leaf(np.ones(3))
-    for op in (tape.add, tape.sub, tape.mul):
-        with pytest.raises(ShapeError):
-            op(a, b)
+    with pytest.raises(ShapeError):
+        tape.sub(a, b)
 
 
 def test_log_clamps_below_floor():
@@ -304,15 +298,6 @@ def test_sum_scalars_accumulates_and_distributes_gradient():
     assert all(float(grads[r]) == 1.0 for r in refs)
 
 
-def test_sum_elements_gradient_is_ones():
-    tape = Tape()
-    ref = tape.leaf(np.arange(6.0).reshape(2, 3))
-    out = tape.sum_elements(ref)
-    assert float(tape.value(out)) == 15.0
-    grads = tape.backward(out)
-    assert np.array_equal(grads[ref], np.ones((2, 3)))
-
-
 def test_backward_requires_scalar_loss():
     tape = Tape()
     ref = tape.leaf(np.ones(3))
@@ -323,7 +308,8 @@ def test_backward_requires_scalar_loss():
 def test_backward_accumulates_across_reuse():
     tape = Tape()
     ref = tape.leaf(2.0)
-    out = tape.add(tape.mul(ref, ref), ref)  # x^2 + x -> grad 2x + 1 = 5
+    out = tape.sub(tape.sum_scalars([ref, ref, ref]),
+                   tape.neg(tape.sum_scalars([ref, ref])))  # 3x + 2x -> grad 5
     grads = tape.backward(out)
     assert float(grads[ref]) == 5.0
 
@@ -332,7 +318,7 @@ def test_backward_zeros_for_unreachable_leaves():
     tape = Tape()
     used = tape.leaf(3.0)
     unused = tape.leaf(np.ones((2, 2)))
-    out = tape.mul(used, used)
+    out = tape_sum(tape, [used], [6.0])
     grads = tape.backward(out)
     assert np.array_equal(grads[unused], np.zeros((2, 2)))
     assert float(grads[used]) == 6.0
@@ -340,7 +326,7 @@ def test_backward_zeros_for_unreachable_leaves():
 
 def test_grad_check_accepts_correct_gradients():
     def build_loss(tape, refs):
-        return tape.sum_elements(tape.mul(refs[0], refs[0]))
+        return tape_sum(tape, [tape.tanh(refs[0])])
 
     worst = grad_check(build_loss, [np.array([1.0, -2.0, 0.5])])
     assert worst < 1e-8
@@ -351,7 +337,7 @@ def test_grad_check_rejects_bad_step_and_nonfinite_loss():
         grad_check(lambda t, r: r[0], [np.array(1.0)], step=0.0)
 
     def exploding(tape, refs):
-        return tape.exp(tape.mul(refs[0], tape.constant(1e6)))
+        return tape.exp(tape_sum(tape, refs, [1e6]))
 
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
         grad_check(exploding, [np.array(1.0)])

@@ -23,6 +23,7 @@ from betree.transform import (
     make_embedder,
     save_checkpoint,
 )
+from helpers import tape_sum
 from oracles import ref_adam_step, ref_mlp_forward
 
 
@@ -98,11 +99,11 @@ def test_gradients_accumulate_across_forwards_on_one_tape():
 
     def single(x):
         tape = Tape()
-        out = tape.sum_elements(forward(tape, params, x))
+        out = tape_sum(tape, [forward(tape, params, x)])
         return collect_param_grads(tape, params, tape.backward(out))
 
     tape = Tape()
-    joint = tape.sum_elements(tape.add(forward(tape, params, x1), forward(tape, params, x2)))
+    joint = tape_sum(tape, [forward(tape, params, x1), forward(tape, params, x2)])
     got = collect_param_grads(tape, params, tape.backward(joint))
     g1, g2 = single(x1), single(x2)
     for a, b, c in zip(got.weights, g1.weights, g2.weights):
@@ -218,7 +219,7 @@ def test_layer_arrays_are_views_of_the_flat_vector(tmp_path):
     save_checkpoint(params, tmp_path / "net.ckpt")
     loaded = load_checkpoint(tmp_path / "net.ckpt")
     tape = Tape()
-    out = tape.sum_elements(forward(tape, params, np.ones(3)))
+    out = tape_sum(tape, [forward(tape, params, np.ones(3))])
     grad_map = tape.backward(out)
     grads = collect_param_grads(tape, params, grad_map)
     for (w_ref, b_ref), gw, gb in zip(bind_params(tape, params), grads.weights, grads.biases):
