@@ -152,33 +152,32 @@ def new_tree(first: Sample, max_children: int | None = None, class_count: int = 
     return BoundaryTree(first, max_children, class_count)
 
 
-def node_embedding(tree: BoundaryTree, node_id: int, embed) -> np.ndarray:
-    """Row `node_id` of the tree's embedding matrix under `embed`.
-
-    A row not yet filled under embed.cache_key is computed by one
-    embed(features) call and stored; a new key first drops every row, and
-    the width may change with it.
-    """
-    if tree.emb_key != embed.cache_key:
-        tree.reset_embeddings(embed.cache_key)
-    if not tree.emb_valid[node_id]:
-        vec = np.asarray(embed(tree.nodes[node_id].sample.features), dtype=np.float64)
-        if tree.emb is None:
-            tree.emb = np.empty((len(tree.emb_valid), vec.shape[0]))
-        tree.emb[node_id] = vec
-        tree.emb_valid[node_id] = True
-    return tree.emb[node_id]
-
-
 def fill_embeddings(tree: BoundaryTree, embed, ids) -> None:
-    """Make rows `ids` valid under `embed`, with one node_embedding call per
-    missing row."""
+    """Make rows `ids` valid under `embed`: the missing rows are embedded as
+    one row block by one embed call. A new embed.cache_key first drops
+    every row, and the width may change with it."""
     if tree.emb_key != embed.cache_key:
         tree.reset_embeddings(embed.cache_key)
-    valid = tree.emb_valid
-    for i in ids:
-        if not valid[i]:
-            node_embedding(tree, i, embed)
+    missing = [i for i in ids if not tree.emb_valid[i]]
+    if missing:
+        _store_rows(tree, missing, embed(np.array([tree.nodes[i].sample.features for i in missing])))
+
+
+def _store_rows(tree: BoundaryTree, ids, rows) -> None:
+    """Store embedding rows for `ids` under the tree's current key."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if tree.emb is None:
+        tree.emb = np.empty((len(tree.emb_valid), rows.shape[1]))
+    tree.emb[ids] = rows
+    tree.emb_valid[ids] = True
+
+
+def node_embedding(tree: BoundaryTree, ids, embed) -> np.ndarray:
+    """Rows `ids` of the tree's embedding matrix under `embed`: one row for
+    an int id, a row block for a list of ids. Missing rows are filled first
+    (see fill_embeddings)."""
+    fill_embeddings(tree, embed, [ids] if isinstance(ids, (int, np.integer)) else ids)
+    return tree.emb[ids]
 
 
 def candidate_ids(tree: BoundaryTree, node_id: int) -> list[int]:
@@ -190,25 +189,27 @@ def candidate_ids(tree: BoundaryTree, node_id: int) -> list[int]:
     return [node_id, *node.children]
 
 
-def traverse(tree: BoundaryTree, embed, y) -> Trace:
-    """Greedy root-to-final descent for a raw query vector.
+def traverse(tree: BoundaryTree, embed, y, y_emb=None) -> Trace:
+    """Greedy root-to-final descent for a raw query vector `y`.
 
-    At each node with children, move to the distance argmin over the
-    candidate set; equal distances resolve to the lowest node id (candidate
-    lists ascend by id, so the first minimum wins). Stops when the argmin is
-    the current node or a childless node is reached. Each decision's
-    distances come from one l2_value call over the gathered candidate rows
-    of the tree's embedding matrix.
+    `y_emb` is the query's embedding under `embed` when the caller already
+    has it; otherwise traverse computes embed(y). At each node with
+    children, move to the distance argmin over the candidate set; equal
+    distances resolve to the lowest node id (candidate lists ascend by id,
+    so the first minimum wins). Stops when the argmin is the current node or
+    a childless node is reached. Each decision's distances come from one
+    l2_value call over the candidate rows of the tree's embedding matrix.
     """
-    y_emb = np.asarray(embed(y), dtype=np.float64)
+    if y_emb is None:
+        y_emb = embed(y)
+    y_emb = np.asarray(y_emb, dtype=np.float64)
     steps: list[TraceStep] = []
     current = tree.root
     while True:
         if not tree.nodes[current].children:
             return Trace(steps, current, STOP_LEAF)
         cands = candidate_ids(tree, current)
-        fill_embeddings(tree, embed, cands)
-        dists = l2_value(y_emb, tree.emb[cands])
+        dists = l2_value(y_emb, node_embedding(tree, cands, embed))
         chosen = int(np.argmin(dists))
         steps.append(TraceStep(current, cands, dists, chosen))
         nxt = cands[chosen]
@@ -217,26 +218,36 @@ def traverse(tree: BoundaryTree, embed, y) -> Trace:
         current = nxt
 
 
-def predict_hard(tree: BoundaryTree, embed, y) -> int:
-    """Label of the node where traversal stops."""
-    return tree.nodes[traverse(tree, embed, y).final].label
+def predict_hard(tree: BoundaryTree, embed, y):
+    """Label of the node where traversal stops; for a rank-2 block of
+    queries, embedded as one block, one label per row."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim == 1:
+        return tree.nodes[traverse(tree, embed, y).final].label
+    return [tree.nodes[traverse(tree, embed, q, e).final].label for q, e in zip(y, embed(y))]
 
 
-def insert_if_wrong(tree: BoundaryTree, embed, query: Sample) -> bool:
+def insert_if_wrong(tree: BoundaryTree, embed, query: Sample, y_emb=None) -> bool:
     """Train on one sample: store it only if the tree misclassifies it.
 
     Returns True when a node was added. The new node hangs off the final
     node of the failed query, so the new edge crosses a class boundary.
+    `y_emb`, the query's embedding under `embed` if the caller has it, is
+    also stored as the new node's row.
     """
-    final = traverse(tree, embed, query.features).final
+    final = traverse(tree, embed, query.features, y_emb).final
     if tree.nodes[final].label == query.label:
         return False
-    tree.add_child(final, query)
+    node_id = tree.add_child(final, query)
+    if y_emb is not None and tree.emb_key == embed.cache_key:
+        _store_rows(tree, [node_id], [y_emb])
     return True
 
 
 def build_tree(samples, embed, max_children: int | None = None, class_count: int = 2) -> BoundaryTree:
-    """Feed samples through insert_if_wrong in order; the first becomes the root."""
+    """Feed samples through insert_if_wrong in order; the first becomes the
+    root. The samples are embedded as one row block, and each stored
+    sample's row is its query embedding."""
     samples = list(samples)
     if not samples:
         raise ValueError("build_tree: empty sample list")
@@ -245,8 +256,11 @@ def build_tree(samples, embed, max_children: int | None = None, class_count: int
         if s.features.shape != (dim,):
             raise ValueError(f"build_tree: sample {i} has feature length {s.features.shape[0]}, expected {dim}")
     tree = new_tree(samples[0], max_children, class_count)
-    for s in samples[1:]:
-        insert_if_wrong(tree, embed, s)
+    rows = np.asarray(embed(np.array([s.features for s in samples])), dtype=np.float64)
+    tree.reset_embeddings(embed.cache_key)
+    _store_rows(tree, [0], rows[:1])
+    for s, row in zip(samples[1:], rows[1:]):
+        insert_if_wrong(tree, embed, s, row)
     return tree
 
 

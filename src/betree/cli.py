@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .boundary_tree import BoundaryTree, TreeFormatError, build_tree, load_tree, save_tree
 from .data import (
     DataFormatError,
@@ -237,8 +239,10 @@ def cmd_dump_embeddings(args, parser: _Parser) -> int:
     ds, _ = _resolve_datasets(args, parser, split=False)
     embedder = identity_embedder() if params is None else make_embedder(params)
     dim = ds.feature_dim if params is None else params.arch.out_dim
-    rows = ((s.label, embedder(s.features)) for s in ds.samples)
-    write_embedding_csv(args.out, rows, dim, comment=_runspec(args))
+    features = np.array([s.features for s in ds.samples]).reshape(len(ds), ds.feature_dim)
+    block = embedder(features)
+    write_embedding_csv(args.out, zip((s.label for s in ds.samples), block), dim,
+                        comment=_runspec(args))
     return 0
 
 

@@ -3,14 +3,14 @@
 Each traversal decision becomes a softmax over negative embedding distances,
 a root-to-final path gets the product of its transition probabilities, and
 the class prediction aggregates the last decision's candidate mass by label.
-The walk is boundary_tree.traverse itself, run with an embedder that records
-every embedding on a Tape, so the loss gradient reaches the transform
-parameters through the query and through the stored samples it aggregates.
+The walk is boundary_tree.traverse itself under the plain embedder; the
+query and the last decision's candidates then go on a Tape as one row block,
+so the loss gradient reaches the transform parameters through the query and
+through the stored samples it aggregates.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +24,15 @@ from .tape import Tape, neg_dist_log_softmax_value
 class PathTrace:
     """Greedy decision sequence for one query, tied to its tape and tree.
 
-    `candidate_refs` holds the embedding refs of the last decision's
-    candidates, in candidate order (empty when there was no decision).
+    `candidates_ref` is the on-tape row block of the last decision's
+    candidate embeddings, in candidate order (None when there was no
+    decision).
     """
 
     tape: Tape
     tree: BoundaryTree
     query_ref: int
-    candidate_refs: list[int]
+    candidates_ref: int | None
     decisions: list[TraceStep]
     final: int
     stop_mode: str
@@ -40,59 +41,36 @@ class PathTrace:
 @dataclass
 class ClassLogProb:
     """Per-class log-probability refs, the raw log-score refs used for clamp
-    diagnostics, and the aggregation decision's distance refs."""
+    diagnostics, and the ref of the aggregation decision's distance vector
+    (None without a decision)."""
 
     refs: list[int]
     log_score_refs: list[int]
-    dist_refs: list[int]
+    dist_ref: int | None
 
     def values(self, tape: Tape) -> np.ndarray:
         return np.array([float(tape.value(r)) for r in self.refs])
 
 
-class _TapeRecorder:
-    """Embedder for traverse that computes each embedding on a tape.
-
-    `refs` maps id(features) to the embedding ref. It lives for one
-    greedy_path call, while every array it is keyed on is alive; the
-    cache_key comes from a process counter, so tree rows filled under one
-    recorder are never read under another.
-    """
-
-    _keys = itertools.count(1)
-
-    def __init__(self, tape: Tape, params):
-        self.tape = tape
-        self.params = params
-        self.cache_key = ("tape", next(_TapeRecorder._keys))
-        self.refs: dict[int, int] = {}
-
-    def __call__(self, x):
-        ref = self.refs.get(id(x))
-        if ref is None:
-            if self.params is None:
-                ref = self.tape.constant(np.asarray(x, dtype=np.float64))
-            else:
-                ref = transform.forward(self.tape, self.params, x)
-            self.refs[id(x)] = ref
-        return self.tape.value(ref)
-
-
 def greedy_path(tape: Tape, tree: BoundaryTree, params, y) -> PathTrace:
-    """Soft traversal: boundary_tree.traverse with every embedding on `tape`.
+    """Soft traversal: boundary_tree.traverse under the plain embedder of
+    `params` (identity when params is None), then the query and the last
+    decision's candidates on `tape`.
 
-    The query and every node it is compared against are embedded on the
-    shared tape (as constants when params is None), so one backward pass
-    reaches the parameters through all of them. The tree's embedding rows
-    are refilled under a key of this call's own.
+    Only what the loss reads goes on the tape: one row block of the query
+    followed by the last decision's candidates (constants when params is
+    None), so one backward pass reaches the parameters through all of them
+    with one weight-gradient product per layer. Every row is bitwise the
+    plain embedder's, so the walk is the one the loss differentiates.
     """
-    recorder = _TapeRecorder(tape, params)
-    trace = traverse(tree, recorder, y)
-    cand_refs = []
-    if trace.steps:
-        cand_refs = [recorder.refs[id(tree.nodes[c].sample.features)]
-                     for c in trace.steps[-1].candidates]
-    return PathTrace(tape, tree, recorder.refs[id(y)], cand_refs,
+    embedder = transform.identity_embedder() if params is None else transform.make_embedder(params)
+    trace = traverse(tree, embedder, y)
+    cands = trace.steps[-1].candidates if trace.steps else []
+    block = np.array([y, *(tree.nodes[c].sample.features for c in cands)], dtype=np.float64)
+    rows = tape.constant(block) if params is None else transform.forward(tape, params, block)
+    query_ref = tape.take(rows, 0)
+    candidates_ref = tape.take(rows, slice(1, None)) if cands else None
+    return PathTrace(tape, tree, query_ref, candidates_ref,
                      trace.steps, trace.final, trace.stop_mode)
 
 
@@ -121,13 +99,13 @@ def class_log_prob(trace: PathTrace) -> ClassLogProb:
     """
     tape = trace.tape
     tree = trace.tree
-    dist_refs = []
+    dist_ref = None
     if not trace.decisions:
         members = [(trace.final, tape.constant(1.0))]
     else:
         last = trace.decisions[-1]
-        dist_refs = [tape.l2_distance(trace.query_ref, r) for r in trace.candidate_refs]
-        logp_refs = tape.neg_dist_log_softmax(dist_refs)
+        dist_ref = tape.l2_distance(trace.query_ref, trace.candidates_ref)
+        logp_refs = tape.neg_dist_log_softmax(dist_ref)
         members = [(cid, tape.exp(lp)) for cid, lp in zip(last.candidates, logp_refs)
                    if trace.stop_mode == STOP_STAYED or cid != last.node]
 
@@ -138,7 +116,7 @@ def class_log_prob(trace: PathTrace) -> ClassLogProb:
     log_score_refs = [tape.log(s) for s in score_refs]
     log_total = tape.log(tape.sum_scalars(score_refs))
     refs = [tape.sub(ls, log_total) for ls in log_score_refs]
-    return ClassLogProb(refs, log_score_refs, dist_refs)
+    return ClassLogProb(refs, log_score_refs, dist_ref)
 
 
 def loss(trace: PathTrace, true_label: int) -> int:

@@ -1,6 +1,7 @@
 """Reverse-mode automatic differentiation over small dense float64 arrays.
 
-One Tape records the computation for one query. Node references are plain
+One Tape records the computation for one query; array ops take a single
+row or a row block (one row per embedded vector). Node references are plain
 ints into an append-only arena, so parent links always point backwards and
 the graph is topologically ordered by construction; backward() is a single
 reverse sweep over the arena.
@@ -26,6 +27,20 @@ LOG_FLOOR_VALUE = math.log(LOG_FLOOR)
 
 class ShapeError(ValueError):
     """Operand shapes incompatible with the requested operation."""
+
+
+def affine(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """w @ x + b for a rank-1 `x`, or for each row of a rank-2 `x`.
+
+    The single affine kernel, shared by the tape op and plain embedding. A
+    row block goes through np.matmul as a stack of (n, 1) columns, which
+    numpy evaluates as one matrix-vector product per row, so every row is
+    bitwise equal to the one-row call. A GEMM over the block (x @ w.T) is
+    not: it changes the last bits of nearly every row.
+    """
+    if x.ndim == 1:
+        return w @ x + b
+    return np.matmul(w, x[:, :, None])[:, :, 0] + b
 
 
 def l2_value(a: np.ndarray, b: np.ndarray):
@@ -106,21 +121,24 @@ class Tape:
     # ---- array ops -------------------------------------------------------
 
     def matmul_add(self, w: int, x: int, b: int) -> int:
-        """Affine map w @ x + b with rank-2 w and rank-1 x, b."""
+        """Affine map w @ x + b (see affine) with rank-2 w, rank-1 b, and a
+        rank-1 x or a rank-2 row block x."""
         wv = self.nodes[w].value
         xv = self.nodes[x].value
         bv = self.nodes[b].value
         if wv.ndim != 2:
             raise ShapeError(f"matmul_add weight: expected rank 2, got shape {np.shape(wv)}")
         m, n = wv.shape
-        if np.shape(xv) != (n,):
-            raise ShapeError(f"matmul_add input: expected shape ({n},), got {np.shape(xv)}")
+        if np.ndim(xv) not in (1, 2) or np.shape(xv)[-1] != n:
+            raise ShapeError(f"matmul_add input: expected shape ({n},) or (k, {n}), got {np.shape(xv)}")
         if np.shape(bv) != (m,):
             raise ShapeError(f"matmul_add bias: expected shape ({m},), got {np.shape(bv)}")
-        out = wv @ xv + bv
+        out = affine(wv, xv, bv)
 
         def vjp(g):
-            return np.outer(g, xv), wv.T @ g, g
+            # One matrix product for the weight gradient of the whole block.
+            g2 = np.atleast_2d(g)
+            return g2.T @ np.atleast_2d(xv), g @ wv, g2.sum(axis=0)
 
         return self._push(out, (w, x, b), vjp)
 
@@ -143,50 +161,65 @@ class Tape:
 
         return self._push(out, (x,), vjp)
 
+    def take(self, x: int, index) -> int:
+        """Row `index` (an int) or rows `index` (a slice) of a rank-2 node."""
+        xv = self.nodes[x].value
+        if np.ndim(xv) != 2:
+            raise ShapeError(f"take: expected a rank-2 node, got shape {np.shape(xv)}")
+        out = xv[index]
+
+        def vjp(g):
+            full = np.zeros_like(xv)
+            full[index] = g
+            return (full,)
+
+        return self._push(out, (x,), vjp)
+
     def l2_distance(self, a: int, b: int) -> int:
-        """Euclidean distance between two rank-1 nodes (scalar output)."""
+        """Euclidean distance from a rank-1 node `a` to a rank-1 node `b`
+        (scalar output) or to each row of a rank-2 node `b` (one distance
+        per row), with values from l2_value."""
         av = self.nodes[a].value
         bv = self.nodes[b].value
-        if np.ndim(av) != 1 or np.shape(av) != np.shape(bv):
+        if np.ndim(av) != 1 or np.ndim(bv) not in (1, 2) or np.shape(bv)[-1] != av.shape[0]:
             raise ShapeError(
-                f"l2_distance: expected equal rank-1 shapes, got {np.shape(av)} and {np.shape(bv)}"
+                f"l2_distance: expected a rank-1 node and a rank-1 node or row block of equal "
+                f"width, got {np.shape(av)} and {np.shape(bv)}"
             )
         d = l2_value(av, bv)
 
         def vjp(g):
             diff = av - bv
-            if d < DISTANCE_EPS:
-                z = np.zeros_like(diff)
-                return z, z
-            scaled = (g / d) * diff
-            return scaled, -scaled
+            scale = np.divide(g, d, out=np.zeros(np.shape(d)), where=d >= DISTANCE_EPS)
+            scaled = scale[..., None] * diff
+            return (scaled if bv.ndim == 1 else scaled.sum(axis=0)), -scaled
 
         return self._push(d, (a, b), vjp)
 
     # ---- scalar ops ------------------------------------------------------
 
-    def neg_dist_log_softmax(self, dists: list[int]) -> list[int]:
-        """Log of softmax(-d) over a candidate set of scalar distances, with
+    def neg_dist_log_softmax(self, dists: int) -> list[int]:
+        """Log of softmax(-d) over a rank-1 node of candidate distances, with
         values from neg_dist_log_softmax_value. Returns one scalar ref per
         candidate, in order.
         """
-        if not dists:
+        d = self.nodes[dists].value
+        if np.ndim(d) != 1:
+            raise ShapeError(f"neg_dist_log_softmax: expected rank-1 distances, got shape {np.shape(d)}")
+        if not d.size:
             raise ValueError("neg_dist_log_softmax: empty candidate list")
-        d = np.array([self.nodes[r].value for r in dists], dtype=np.float64)
         logps = neg_dist_log_softmax_value(d)
         probs = np.exp(logps)
-        parents = tuple(dists)
 
         out = []
-        for j in range(len(dists)):
+        for j in range(len(d)):
             def vjp(g, j=j):
                 # d logp_j / d dist_k = p_k - [k == j]
                 grads = g * probs
-                grads = grads.copy()
                 grads[j] -= g
-                return tuple(grads)
+                return (grads,)
 
-            out.append(self._push(np.float64(logps[j]), parents, vjp))
+            out.append(self._push(np.float64(logps[j]), (dists,), vjp))
         return out
 
     def sub(self, a: int, b: int) -> int:

@@ -124,10 +124,12 @@ def converged(log: TrainLog, threshold: float) -> bool:
 
 
 def hard_error(tree: BoundaryTree, embedder, samples) -> float:
-    """Fraction of samples the tree misclassifies (0.0 for no samples)."""
+    """Fraction of samples the tree misclassifies (0.0 for no samples); the
+    queries are embedded as one row block."""
     if not samples:
         return 0.0
-    wrong = sum(1 for s in samples if predict_hard(tree, embedder, s.features) != s.label)
+    labels = predict_hard(tree, embedder, np.array([s.features for s in samples]))
+    wrong = sum(1 for s, label in zip(samples, labels) if label != s.label)
     return wrong / len(samples)
 
 
@@ -143,8 +145,11 @@ def train(train_set, test_set, config: TrainConfig, *,
 
     test_error in the log is measured per iteration against that iteration's
     small tree with the end-of-iteration parameters; full_tree_eval adds the
-    error of a tree rebuilt over the whole train set (much slower).
+    error of a tree rebuilt over the whole train set (much slower). Each
+    record's seconds run from the end of the previous record, the first
+    from the start of the call, so they add up to the whole call.
     """
+    t0 = time.perf_counter()
     samples = list(train_set.samples)
     if not samples:
         raise ValueError("train: empty dataset")
@@ -162,7 +167,6 @@ def train(train_set, test_set, config: TrainConfig, *,
     log = TrainLog()
 
     for iteration in range(config.max_outer_iters):
-        t0 = time.perf_counter()
         stream.ensure(need)
         tree = build_tree(stream.take(config.tree_build_samples), make_embedder(params),
                           config.max_children, class_count)
@@ -192,15 +196,17 @@ def train(train_set, test_set, config: TrainConfig, *,
                 full_tree = build_tree(samples, embedder, config.max_children, class_count)
                 full_test_error = hard_error(full_tree, embedder, test_set.samples)
 
+        t1 = time.perf_counter()
         log.records.append(IterRecord(
             iteration=iteration,
             mean_loss=mean_loss,
             nodes=len(tree),
             test_error=test_error,
             clamps=clamps,
-            seconds=time.perf_counter() - t0,
+            seconds=t1 - t0,
             full_test_error=full_test_error,
         ))
+        t0 = t1
         if converged(log, config.convergence_rel_threshold):
             log.converged = True
             break

@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tape import Tape
+from .tape import Tape, affine
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -118,7 +118,8 @@ def bind_params(tape: Tape, params: ParameterSet) -> list[tuple[int, int]]:
 
 
 def forward_from_refs(tape: Tape, layer_refs, activation: str, x) -> int:
-    """Run the MLP from existing parameter leaf refs; returns the embedding ref."""
+    """Run the MLP from existing parameter leaf refs over one row or a row
+    block; returns the embedding ref."""
     act = tape.relu if activation == "relu" else tape.tanh
     h = tape.constant(np.asarray(x, dtype=np.float64))
     last = len(layer_refs) - 1
@@ -129,30 +130,36 @@ def forward_from_refs(tape: Tape, layer_refs, activation: str, x) -> int:
     return h
 
 
+def _check_input(name: str, params: ParameterSet, x: np.ndarray) -> None:
+    if x.ndim not in (1, 2) or x.shape[-1] != params.arch.in_dim:
+        raise ValueError(f"{name}: input shape {x.shape} does not match architecture input "
+                         f"({params.arch.in_dim},) or (k, {params.arch.in_dim})")
+
+
 def forward(tape: Tape, params: ParameterSet, x) -> int:
-    """Embed a raw feature vector on the tape."""
+    """Embed a raw feature vector, or a row block of them, on the tape."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.arch.in_dim,):
-        raise ValueError(f"forward: input shape {x.shape} does not match architecture input ({params.arch.in_dim},)")
+    _check_input("forward", params, x)
     return forward_from_refs(tape, bind_params(tape, params), params.arch.activation, x)
 
 
 def embed(params: ParameterSet, x) -> np.ndarray:
-    """Plain forward pass, bitwise identical to the tape version."""
+    """Plain forward pass over one row or a row block, bitwise identical to
+    the tape version; every row of a block equals its one-row embedding."""
     h = np.asarray(x, dtype=np.float64)
-    if h.shape != (params.arch.in_dim,):
-        raise ValueError(f"embed: input shape {h.shape} does not match architecture input ({params.arch.in_dim},)")
+    _check_input("embed", params, h)
     last = len(params.weights) - 1
     relu = params.arch.activation == "relu"
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = w @ h + b
+        h = affine(w, h, b)
         if i < last:
             h = np.maximum(h, 0.0) if relu else np.tanh(h)
     return h
 
 
 def make_embedder(params: ParameterSet):
-    """Embedding callable for tree operations, stamped for cache keying."""
+    """Embedding callable for tree operations (one row or a row block),
+    stamped for cache keying."""
 
     def fn(x):
         return embed(params, x)
@@ -162,7 +169,8 @@ def make_embedder(params: ParameterSet):
 
 
 def identity_embedder():
-    """Raw features as their own embedding (stamp never changes)."""
+    """Raw features (one row or a row block) as their own embedding; the
+    stamp never changes."""
 
     def fn(x):
         return np.asarray(x, dtype=np.float64)
@@ -182,7 +190,8 @@ def collect_param_grads(tape: Tape, params: ParameterSet, grad_map) -> Parameter
 @dataclass
 class AdamState:
     """First/second-moment vectors in the parameter layout, plus the step
-    counter; adam_step updates all three in place."""
+    counter; adam_step updates all three in place. `work` holds two
+    scratch vectors of the same length that adam_step reuses every step."""
 
     m: np.ndarray
     v: np.ndarray
@@ -191,6 +200,10 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    work: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.work = np.empty((2, len(self.m)))
 
     @classmethod
     def fresh(cls, params: ParameterSet, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> "AdamState":
@@ -214,15 +227,25 @@ def adam_step(params: ParameterSet, grads: ParameterSet, state: AdamState) -> Pa
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    # In place: fresh moment vectors every step fragment the heap enough to
-    # raise peak RSS by about 10% on 784-400-400-20.
+    # Every temporary lives in state.work: fresh vectors every step cost
+    # time and fragment the heap. The operations and their order are those
+    # of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    # flat - lr (m / bc1) / (sqrt(v / bc2) + eps), so the result is bitwise
+    # that of the plain expressions.
     g, m, v = grads.flat, state.m, state.v
+    a, b = state.work
     m *= state.beta1
-    m += (1.0 - state.beta1) * g
+    m += np.multiply(g, 1.0 - state.beta1, out=a)
     v *= state.beta2
-    v += (1.0 - state.beta2) * (g * g)
-    flat = params.flat - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return ParameterSet(params.arch, flat)
+    np.multiply(g, g, out=a)
+    v += np.multiply(a, 1.0 - state.beta2, out=a)
+    np.divide(m, bc1, out=a)
+    a *= state.lr
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += state.eps
+    a /= b
+    return ParameterSet(params.arch, np.subtract(params.flat, a))
 
 
 # ---- checkpoint files ------------------------------------------------------

@@ -224,7 +224,7 @@ def test_node_embedding_cache_keyed_by_embedder():
 
     def counted(key):
         def fn(x):
-            calls["n"] += 1
+            calls["n"] += len(np.atleast_2d(x))  # embedded rows, not calls
             return np.asarray(x, dtype=np.float64)
 
         fn.cache_key = key
@@ -242,8 +242,8 @@ def test_node_embedding_cache_keyed_by_embedder():
 
     # A new key on the same tree may change the embedding width.
     def widen(x):
-        calls["n"] += 1
-        return np.append(x, -1.0)
+        calls["n"] += len(np.atleast_2d(x))
+        return np.insert(x, x.shape[-1], -1.0, axis=-1)
 
     widen.cache_key = ("widen",)
     fill_embeddings(tree, widen, range(len(tree)))
@@ -263,7 +263,7 @@ def test_embedding_matrix_grows_and_traverse_matches_per_candidate_replay():
     calls = {"n": 0}
 
     def counted(x):
-        calls["n"] += 1
+        calls["n"] += len(np.atleast_2d(x))  # embedded rows, not calls
         return embedder(x)
 
     counted.cache_key = embedder.cache_key
@@ -278,7 +278,7 @@ def test_embedding_matrix_grows_and_traverse_matches_per_candidate_replay():
     assert len(tree) > 100
     for i in np.flatnonzero(tree.emb_valid):
         assert np.array_equal(tree.emb[i], embed(params, tree.nodes[i].sample.features))
-    # One embed call per traversed query plus one per node row filled.
+    # One embedded row per traversed query plus one per node row filled.
     assert calls["n"] == 400 + int(tree.emb_valid.sum())
 
     for _ in range(50):
@@ -291,6 +291,33 @@ def test_embedding_matrix_grows_and_traverse_matches_per_candidate_replay():
             assert step.distances.tolist() == replay
     fill_embeddings(tree, embedder, range(len(tree)))
     assert tree.emb_valid[:len(tree)].all()
+
+
+def test_build_tree_stores_query_rows_and_block_queries_match_one_by_one():
+    # build_tree embeds its samples as one block and stores each inserted
+    # sample's query row; predict_hard embeds a query block once. Both must
+    # equal the one-row path bitwise.
+    rng = np.random.default_rng(107)
+    params = init_params(MlpArchitecture((3, 8, 8, 2), "tanh"), 108)
+    embedder = make_embedder(params)
+    samples = random_samples(rng, 150, 3, 3)
+    tree = build_tree(samples, embedder, 3, 3)
+    replay = new_tree(samples[0], 3, 3)
+    for s in samples[1:]:
+        insert_if_wrong(replay, embedder, s)
+    assert [(n.parent, n.label) for n in tree.nodes] == [(n.parent, n.label) for n in replay.nodes]
+    assert tree.emb_key == embedder.cache_key and tree.emb_valid[:len(tree)].all()
+    for node in tree.nodes:
+        assert tree.emb[node.id].tobytes() == embed(params, node.sample.features).tobytes()
+
+    queries = rng.normal(size=(40, 3))
+    labels = predict_hard(tree, embedder, queries)
+    assert labels == [predict_hard(replay, embedder, q) for q in queries]
+    for q in queries[:10]:
+        a = traverse(tree, embedder, q, embed(params, q))
+        b = traverse(replay, embedder, q)
+        assert (a.visited, a.final, a.stop_mode) == (b.visited, b.final, b.stop_mode)
+        assert all(x.distances.tobytes() == y.distances.tobytes() for x, y in zip(a.steps, b.steps))
 
 
 def test_snapshot_round_trip(tmp_path):

@@ -12,6 +12,7 @@ from betree.tape import (
     LOG_FLOOR_VALUE,
     ShapeError,
     Tape,
+    affine,
     grad_check,
     l2_value,
     neg_dist_log_softmax_value,
@@ -83,6 +84,68 @@ def test_matmul_add_gradients_match_fd():
             return float(t.value(o))
 
         assert np.allclose(grads[ref], fd_gradient(f, arr), atol=1e-7)
+
+
+def test_affine_block_rows_equal_one_row_calls_bitwise():
+    rng = np.random.default_rng(8)
+    for m, n in ((1, 1), (3, 2), (100, 2), (30, 100), (400, 784), (20, 400)):
+        w, b = rng.normal(size=(m, n)), rng.normal(size=m)
+        for k in (1, 3, 64):
+            x = rng.normal(size=(k, n))
+            block = affine(w, x, b)
+            assert block.shape == (k, m)
+            assert block.tobytes() == np.array([w @ row + b for row in x]).tobytes()
+
+
+def test_matmul_add_block_value_and_shape_errors():
+    rng = np.random.default_rng(9)
+    w, x, b = rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=3)
+    tape = Tape()
+    rw, rb = tape.leaf(w), tape.leaf(b)
+    out = tape.matmul_add(rw, tape.leaf(x), rb)
+    assert np.array_equal(tape.value(out), affine(w, x, b))
+    with pytest.raises(ShapeError, match="input"):
+        tape.matmul_add(rw, tape.leaf(np.ones((5, 3))), rb)
+    with pytest.raises(ShapeError, match="input"):
+        tape.matmul_add(rw, tape.leaf(np.ones((0, 0))), rb)
+
+
+def test_matmul_add_block_gradients_match_fd():
+    rng = np.random.default_rng(10)
+    w = rng.normal(size=(3, 4))
+    x = rng.normal(size=(5, 4))
+    b = rng.normal(size=3)
+
+    def run(w_, x_, b_):
+        # tanh readout, so every output entry gets its own upstream gradient
+        tape = Tape()
+        rw, rx, rb = tape.leaf(w_), tape.leaf(x_), tape.leaf(b_)
+        out = tape_sum(tape, [tape.tanh(tape.matmul_add(rw, rx, rb))])
+        return tape, (rw, rx, rb), out
+
+    tape, refs, out = run(w, x, b)
+    grads = tape.backward(out)
+    for ref, arr, idx in ((refs[0], w, 0), (refs[1], x, 1), (refs[2], b, 2)):
+        def f(a, idx=idx):
+            parts = [w, x, b]
+            parts[idx] = a
+            t, _, o = run(*parts)
+            return float(t.value(o))
+
+        assert np.allclose(grads[ref], fd_gradient(f, arr), atol=1e-7)
+
+
+def test_take_rows_value_and_gradient():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(4, 3))
+    tape = Tape()
+    rx = tape.leaf(x)
+    first, rest = tape.take(rx, 0), tape.take(rx, slice(1, None))
+    assert np.array_equal(tape.value(first), x[0]) and np.array_equal(tape.value(rest), x[1:])
+    grads = tape.backward(tape_sum(tape, [first, rest], [2.0, -1.0]))
+    assert np.array_equal(grads[rx], np.array([[2.0] * 3] + [[-1.0] * 3] * 3))
+    with pytest.raises(ShapeError):
+        tape.take(tape.leaf(np.ones(3)), 0)
 
 
 @pytest.mark.parametrize("op,ref_fn", [
@@ -175,12 +238,44 @@ def test_l2_rows_bitwise_equal_per_row_and_tape(dim):
             assert rows[j] == plain == l2_value(y, matrix[i]) == via_tape
 
 
+def test_l2_distance_row_block_values_and_gradients_match_fd():
+    # One distance per row, each the rank-1 kernel's. Row 2 sits exactly on
+    # the query: its subgradient is zero, which is also what central
+    # differences of a norm at zero give.
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=4)
+    b = rng.normal(size=(5, 4))
+    b[2] = a
+
+    def run(a_, b_):
+        tape = Tape()
+        ra, rb = tape.leaf(a_), tape.leaf(b_)
+        d = tape.l2_distance(ra, rb)
+        return tape, ra, rb, d, tape_sum(tape, [tape.tanh(d)])
+
+    tape, ra, rb, d, out = run(a, b)
+    dv = tape.value(d)
+    assert dv.shape == (5,) and dv[2] == 0.0
+    assert all(dv[i] == l2_value(a, b[i]) for i in range(5))
+    grads = tape.backward(out)
+    assert np.array_equal(grads[rb][2], np.zeros(4))
+
+    def total(a_, b_):
+        t, *_, o = run(a_, b_)
+        return float(t.value(o))
+
+    assert np.allclose(grads[ra], fd_gradient(lambda a_: total(a_, b), a), atol=1e-7)
+    assert np.allclose(grads[rb], fd_gradient(lambda b_: total(a, b_), b), atol=1e-7)
+
+
 def test_l2_distance_shape_errors():
     tape = Tape()
     with pytest.raises(ShapeError):
         tape.l2_distance(tape.leaf(np.ones(2)), tape.leaf(np.ones(3)))
     with pytest.raises(ShapeError):
         tape.l2_distance(tape.leaf(np.ones((2, 2))), tape.leaf(np.ones((2, 2))))
+    with pytest.raises(ShapeError):
+        tape.l2_distance(tape.leaf(np.ones(2)), tape.leaf(np.ones((4, 3))))
 
 
 def test_log_softmax_values_match_oracle_and_normalize():
@@ -188,8 +283,7 @@ def test_log_softmax_values_match_oracle_and_normalize():
     for _ in range(20):
         dists = rng.uniform(0.1, 10.0, size=int(rng.integers(1, 8)))
         tape = Tape()
-        refs = [tape.leaf(d) for d in dists]
-        out = tape.neg_dist_log_softmax(refs)
+        out = tape.neg_dist_log_softmax(tape.leaf(dists))
         logps = np.array([float(tape.value(r)) for r in out])
         assert abs(np.exp(logps).sum() - 1.0) < 1e-12
         assert np.allclose(np.exp(logps), softmax_neg(dists), atol=1e-12)
@@ -201,7 +295,7 @@ def test_log_softmax_shift_invariance():
     dists = np.array([0.5, 1.5, 3.0])
     base = softmax_neg(dists)
     tape = Tape()
-    out = tape.neg_dist_log_softmax([tape.leaf(d + 100.0) for d in dists])
+    out = tape.neg_dist_log_softmax(tape.leaf(dists + 100.0))
     shifted = np.exp([float(tape.value(r)) for r in out])
     assert np.allclose(shifted, base, atol=1e-10)
 
@@ -213,21 +307,21 @@ def test_log_softmax_gradients_match_fd():
 
     def f(ds):
         tape = Tape()
-        refs = [tape.leaf(d) for d in ds]
-        out = tape.neg_dist_log_softmax(refs)
+        out = tape.neg_dist_log_softmax(tape.leaf(ds))
         return float(tape.value(tape_sum(tape, out, weights)))
 
     tape = Tape()
-    refs = [tape.leaf(d) for d in dists]
-    out = tape.neg_dist_log_softmax(refs)
+    ref = tape.leaf(dists)
+    out = tape.neg_dist_log_softmax(ref)
     grads = tape.backward(tape_sum(tape, out, weights))
-    analytic = np.array([float(grads[r]) for r in refs])
+    analytic = grads[ref]
     assert np.allclose(analytic, fd_gradient(f, dists), atol=1e-7)
 
 
 def test_log_softmax_rejects_empty():
     with pytest.raises(ValueError):
-        Tape().neg_dist_log_softmax([])
+        tape = Tape()
+        tape.neg_dist_log_softmax(tape.leaf(np.zeros(0)))
 
 
 def test_scalar_ops_values_and_gradients():

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,14 +15,19 @@ from betree import (
     TrainConfig,
     TrainingDivergedError,
     TrainLog,
+    build_tree,
     converged,
     evaluate,
     gen_half_moons,
     init_params,
+    make_embedder,
+    predict_hard,
+    shuffle_split,
     train,
     write_train_log,
 )
-from betree.trainer import _SampleStream
+from betree import trainer
+from betree.trainer import _SampleStream, hard_error
 
 ARCH = MlpArchitecture((2, 6, 2))
 
@@ -163,6 +169,36 @@ def test_full_tree_eval_column():
                    full_tree_eval=True)
     assert all(r.full_test_error is not None for r in log.records)
     assert all(0.0 <= r.full_test_error <= 1.0 for r in log.records)
+
+
+def test_first_record_counts_the_set_up(monkeypatch):
+    # every second of train() lands in some record, the set-up before the
+    # first iteration included
+    real = trainer.init_params
+
+    def slow_init(*args):
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "init_params", slow_init)
+    data = gen_half_moons(60, 0.1, seed=11)
+    t0 = time.perf_counter()
+    _, log = train(data, None, tiny_config(max_outer_iters=2, convergence_rel_threshold=1e-15))
+    elapsed = time.perf_counter() - t0
+    assert log.records[0].seconds >= 0.05
+    assert sum(r.seconds for r in log.records) <= elapsed
+
+
+def test_hard_error_equals_per_query_predict_hard():
+    data, test = shuffle_split(gen_half_moons(200, 0.2, seed=12), 13, (0.6, 0.4))
+    embedder = make_embedder(init_params(ARCH, 15))
+    tree = build_tree(data.samples, embedder, 2, data.class_count)
+    preds = [predict_hard(tree, embedder, s.features) for s in test.samples]
+    hits = [p == s.label for p, s in zip(preds, test.samples)]
+    assert len(set(preds)) == 2 and 0 < sum(hits) < len(hits)
+    for n in range(1, len(hits) + 1):
+        assert hard_error(tree, embedder, test.samples[:n]) == (n - sum(hits[:n])) / n
+    assert hard_error(tree, embedder, []) == 0.0
 
 
 def test_evaluate_root_only_identity():

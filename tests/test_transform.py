@@ -76,12 +76,55 @@ def test_forward_matches_embed_bitwise_and_oracle(activation):
         assert np.allclose(off_tape, oracle, atol=1e-12)
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("sizes", [(2, 100, 100, 30, 2), (784, 400, 400, 20)])
+def test_block_rows_equal_per_row_embed_bitwise(sizes, activation):
+    # One affine kernel for one row and for a row block: every row of a
+    # block, off and on the tape, is the one-row embedding to the bit.
+    rng = np.random.default_rng(sum(sizes) + len(activation))
+    params = init_params(MlpArchitecture(sizes, activation), 30)
+    for k in (1, 2, 17, 200):
+        block = rng.normal(size=(k, sizes[0]))
+        rows = embed(params, block)
+        assert rows.shape == (k, sizes[-1])
+        per_row = np.array([embed(params, x) for x in block])
+        assert rows.tobytes() == per_row.tobytes()
+        tape = Tape()
+        assert tape.value(forward(tape, params, block)).tobytes() == rows.tobytes()
+    assert make_embedder(params)(block).tobytes() == rows.tobytes()
+
+
 def test_forward_and_embed_validate_input_shape():
     params = init_params(MlpArchitecture((4, 3)), 0)
     with pytest.raises(ValueError):
         embed(params, np.ones(5))
     with pytest.raises(ValueError):
         forward(Tape(), params, np.ones(5))
+    for bad in (np.ones((2, 5)), np.ones((2, 2, 4))):
+        with pytest.raises(ValueError):
+            embed(params, bad)
+        with pytest.raises(ValueError):
+            forward(Tape(), params, bad)
+
+
+def test_block_forward_gradient_matches_per_row_forwards():
+    # The block's GEMM weight gradient sums the rows' outer products in
+    # another order, so it matches per-row forwards to rounding only.
+    rng = np.random.default_rng(31)
+    params = init_params(MlpArchitecture((3, 6, 4, 2), "tanh"), 32)
+    block = rng.normal(size=(5, 3))
+    centre = rng.normal(size=2)
+
+    tape = Tape()
+    dists = tape.l2_distance(tape.constant(centre), forward(tape, params, block))
+    got = collect_param_grads(tape, params, tape.backward(tape_sum(tape, [dists])))
+
+    tape = Tape()
+    c = tape.constant(centre)
+    dists = [tape.l2_distance(c, forward(tape, params, x)) for x in block]
+    want = collect_param_grads(tape, params, tape.backward(tape_sum(tape, dists)))
+    assert np.allclose(got.flat, want.flat, rtol=1e-12, atol=1e-14)
+    assert not np.array_equal(got.flat, np.zeros_like(got.flat))
 
 
 def test_bind_params_reuses_leaves():
@@ -144,6 +187,23 @@ def test_adam_step_matches_reference_formulas():
             assert np.allclose(new_params.weights[i], ref_w[i], atol=1e-12)
         assert state.t == t
         params = new_params
+
+
+def test_adam_step_is_bitwise_the_plain_expressions():
+    # the scratch buffers keep every operation and its order
+    rng = np.random.default_rng(18)
+    params = init_params(MlpArchitecture((5, 7, 3)), 19)
+    state = AdamState.fresh(params, lr=0.003, beta1=0.85, beta2=0.99, eps=1e-6)
+    flat, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
+    for t in range(1, 5):
+        grads = _random_grads(rng, params)
+        g = grads.flat
+        m = 0.85 * m + (1.0 - 0.85) * g
+        v = 0.99 * v + (1.0 - 0.99) * (g * g)
+        flat = flat - 0.003 * (m / (1.0 - 0.85 ** t)) / (np.sqrt(v / (1.0 - 0.99 ** t)) + 1e-6)
+        params = adam_step(params, grads, state)
+        assert params.flat.tobytes() == flat.tobytes()
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
 
 def test_adam_step_leaves_inputs_untouched():
