@@ -40,6 +40,7 @@ from .soft_path import (
     ClassLogProb,
     PathTrace,
     class_log_prob,
+    embed_paths,
     greedy_path,
     loss,
     loss_and_grad,

@@ -267,7 +267,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tree-samples", type=int, default=20,
                    help="samples used to rebuild the tree each outer iteration")
     p.add_argument("--grad-steps", type=int, default=10,
-                   help="gradient steps per outer iteration")
+                   help="query batch per outer iteration: one Adam step on its mean loss")
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--threshold", type=float, default=1e-3,
                    help="relative mean-loss change that counts as converged")

@@ -4,9 +4,9 @@ Each traversal decision becomes a softmax over negative embedding distances,
 a root-to-final path gets the product of its transition probabilities, and
 the class prediction aggregates the last decision's candidate mass by label.
 The walk is boundary_tree.traverse itself under the plain embedder; the
-query and the last decision's candidates then go on a Tape as one row block,
-so the loss gradient reaches the transform parameters through the query and
-through the stored samples it aggregates.
+queries and their last decisions' candidates then go on a Tape as one row
+block, so the loss gradient reaches the transform parameters through the
+queries and through the stored samples they aggregate.
 """
 
 from __future__ import annotations
@@ -22,20 +22,24 @@ from .tape import Tape, neg_dist_log_softmax_value
 
 @dataclass
 class PathTrace:
-    """Greedy decision sequence for one query, tied to its tape and tree.
+    """Greedy decision sequence for one raw query, tied to its tape, tree
+    and parameters (None for the identity embedding).
 
-    `candidates_ref` is the on-tape row block of the last decision's
-    candidate embeddings, in candidate order (None when there was no
+    `query_ref` and `candidates_ref` are the query's row and the row block
+    of the last decision's candidate embeddings, in candidate order, on the
+    tape; embed_paths sets them (candidates_ref stays None without a
     decision).
     """
 
     tape: Tape
     tree: BoundaryTree
-    query_ref: int
-    candidates_ref: int | None
+    params: transform.ParameterSet | None
+    query: np.ndarray
     decisions: list[TraceStep]
     final: int
     stop_mode: str
+    query_ref: int | None = None
+    candidates_ref: int | None = None
 
 
 @dataclass
@@ -52,26 +56,49 @@ class ClassLogProb:
         return np.array([float(tape.value(r)) for r in self.refs])
 
 
-def greedy_path(tape: Tape, tree: BoundaryTree, params, y) -> PathTrace:
+def greedy_path(tape: Tape, tree: BoundaryTree, params, y, y_emb=None) -> PathTrace:
     """Soft traversal: boundary_tree.traverse under the plain embedder of
-    `params` (identity when params is None), then the query and the last
-    decision's candidates on `tape`.
+    `params` (identity when params is None). `y_emb` is the query's plain
+    embedding when the caller already has it.
 
-    Only what the loss reads goes on the tape: one row block of the query
-    followed by the last decision's candidates (constants when params is
-    None), so one backward pass reaches the parameters through all of them
-    with one weight-gradient product per layer. Every row is bitwise the
-    plain embedder's, so the walk is the one the loss differentiates.
+    Nothing goes on `tape` yet: embed_paths puts the rows the loss reads
+    there, for this trace alone (class_log_prob does that on demand) or
+    for a whole batch of traces at once.
     """
     embedder = transform.identity_embedder() if params is None else transform.make_embedder(params)
-    trace = traverse(tree, embedder, y)
-    cands = trace.steps[-1].candidates if trace.steps else []
-    block = np.array([y, *(tree.nodes[c].sample.features for c in cands)], dtype=np.float64)
-    rows = tape.constant(block) if params is None else transform.forward(tape, params, block)
-    query_ref = tape.take(rows, 0)
-    candidates_ref = tape.take(rows, slice(1, None)) if cands else None
-    return PathTrace(tape, tree, query_ref, candidates_ref,
+    trace = traverse(tree, embedder, y, y_emb)
+    return PathTrace(tape, tree, params, np.asarray(y, dtype=np.float64),
                      trace.steps, trace.final, trace.stop_mode)
+
+
+def embed_paths(traces: list[PathTrace]) -> int:
+    """Put one row block on the traces' shared tape and set each trace's
+    query_ref and candidates_ref to its rows; returns the block's ref.
+
+    The block holds the k queries, then the union of their last decisions'
+    candidates in first-seen order, each node once, embedded by a single
+    transform.forward (constants when params is None), so one backward
+    pass reaches the parameters with one weight-gradient product per
+    layer. Every row is bitwise the plain embedder's, so the walks are the
+    ones the loss differentiates. For one trace the block is
+    [query; last decision's candidates].
+    """
+    first = traces[0]
+    tape, tree, params = first.tape, first.tree, first.params
+    if any(t.tape is not tape or t.tree is not tree or t.params is not params for t in traces):
+        raise ValueError("embed_paths: traces must share one tape, tree and parameter set")
+    row_of: dict[int, int] = {}
+    for t in traces:
+        if t.decisions:
+            for c in t.decisions[-1].candidates:
+                row_of.setdefault(c, len(traces) + len(row_of))
+    block = np.array([*(t.query for t in traces), *(tree.nodes[c].sample.features for c in row_of)])
+    rows = tape.constant(block) if params is None else transform.forward(tape, params, block)
+    for i, t in enumerate(traces):
+        t.query_ref = tape.take(rows, i)
+        if t.decisions:
+            t.candidates_ref = tape.take(rows, [row_of[c] for c in t.decisions[-1].candidates])
+    return rows
 
 
 def path_log_prob(trace: PathTrace) -> int:
@@ -100,6 +127,8 @@ def class_log_prob(trace: PathTrace) -> ClassLogProb:
     tape = trace.tape
     tree = trace.tree
     dist_ref = None
+    if trace.query_ref is None:
+        embed_paths([trace])
     if not trace.decisions:
         members = [(trace.final, tape.constant(1.0))]
     else:
@@ -132,18 +161,31 @@ def loss(trace: PathTrace, true_label: int) -> int:
     return tape.neg(clp.refs[true_label])
 
 
-def loss_and_grad(tree: BoundaryTree, params: transform.ParameterSet, sample: Sample):
-    """Fresh-tape pipeline: greedy_path, class_log_prob, loss, backward.
+def loss_and_grad(tree: BoundaryTree, params: transform.ParameterSet, samples):
+    """One gradient step's loss over one Sample or a batch of them, on a
+    fresh tape: the queries are embedded plain as one block for their
+    greedy_path walks, embed_paths puts the tape block on, and one backward
+    from the sum of the per-query losses gives the gradient.
 
-    Returns (loss value, gradient ParameterSet, clamp event count). Parameters are not
-    mutated; the tape is discarded with the return.
+    Returns (mean loss value, mean gradient ParameterSet, clamp event
+    count over the batch). Parameters are not mutated; the tape is
+    discarded with the return.
     """
+    samples = [samples] if isinstance(samples, Sample) else list(samples)
+    if not samples:
+        raise ValueError("loss_and_grad: no samples")
     tape = Tape()
-    trace = greedy_path(tape, tree, params, sample.features)
-    loss_ref = loss(trace, sample.label)
-    grad_map = tape.backward(loss_ref)
-    grads = transform.collect_param_grads(tape, params, grad_map)
-    return float(tape.value(loss_ref)), grads, tape.clamp_events
+    queries = np.array([s.features for s in samples])
+    traces = [greedy_path(tape, tree, params, s.features, row)
+              for s, row in zip(samples, transform.make_embedder(params)(queries))]
+    embed_paths(traces)
+    total = tape.sum_scalars([loss(t, s.label) for t, s in zip(traces, samples)])
+    grads = transform.collect_param_grads(tape, params, tape.backward(total))
+    value = float(tape.value(total))
+    if len(samples) > 1:
+        value /= len(samples)
+        grads.flat /= len(samples)
+    return value, grads, tape.clamp_events
 
 
 def predict_soft(tree: BoundaryTree, params, y) -> np.ndarray:

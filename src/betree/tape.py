@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over small dense float64 arrays.
 
-One Tape records the computation for one query; array ops take a single
-row or a row block (one row per embedded vector). Node references are plain
-ints into an append-only arena, so parent links always point backwards and
-the graph is topologically ordered by construction; backward() is a single
-reverse sweep over the arena.
+One Tape records the computation for one gradient step (one query or a
+query batch); array ops take a single row or a row block (one row per
+embedded vector). Node references are plain ints into an append-only arena,
+so parent links always point backwards and the graph is topologically
+ordered by construction; backward() is a single reverse sweep over the
+arena.
 
 A Tape is strictly single-threaded. Distinct tapes may share read-only
 input arrays.
@@ -68,13 +69,16 @@ def neg_dist_log_softmax_value(dists: np.ndarray) -> np.ndarray:
 
 
 class _Node:
-    __slots__ = ("value", "parents", "vjp", "clamped")
+    __slots__ = ("value", "parents", "vjp", "clamped", "constant")
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = value
         self.parents = parents
-        self.vjp = vjp  # maps the output gradient to one gradient per parent
+        # Maps the output gradient to one gradient per parent; None for a
+        # parent that needs none.
+        self.vjp = vjp
         self.clamped = False
+        self.constant = False
 
 
 class Tape:
@@ -112,11 +116,14 @@ class Tape:
         return ref
 
     def constant(self, array) -> int:
-        """Register an input that never needs a reported gradient."""
+        """Register an input that never needs a reported gradient; ops may
+        skip computing its input gradient."""
         arr = np.asarray(array, dtype=np.float64)
         if arr.ndim > 2:
             raise ShapeError(f"constant: rank {arr.ndim} unsupported, expected rank 0..2")
-        return self._push(arr)
+        ref = self._push(arr)
+        self.nodes[ref].constant = True
+        return ref
 
     # ---- array ops -------------------------------------------------------
 
@@ -134,11 +141,13 @@ class Tape:
         if np.shape(bv) != (m,):
             raise ShapeError(f"matmul_add bias: expected shape ({m},), got {np.shape(bv)}")
         out = affine(wv, xv, bv)
+        x_constant = self.nodes[x].constant
 
         def vjp(g):
-            # One matrix product for the weight gradient of the whole block.
+            # One matrix product for the weight gradient of the whole block;
+            # a constant input (the raw features) gets no gradient.
             g2 = np.atleast_2d(g)
-            return g2.T @ np.atleast_2d(xv), g @ wv, g2.sum(axis=0)
+            return g2.T @ np.atleast_2d(xv), None if x_constant else g @ wv, g2.sum(axis=0)
 
         return self._push(out, (w, x, b), vjp)
 
@@ -162,10 +171,19 @@ class Tape:
         return self._push(out, (x,), vjp)
 
     def take(self, x: int, index) -> int:
-        """Row `index` (an int) or rows `index` (a slice) of a rank-2 node."""
+        """Row `index` (an int) or rows `index` (a slice, or a list of
+        distinct row numbers in output order) of a rank-2 node. A list that
+        is one ascending run becomes a slice."""
         xv = self.nodes[x].value
         if np.ndim(xv) != 2:
             raise ShapeError(f"take: expected a rank-2 node, got shape {np.shape(xv)}")
+        if isinstance(index, list):
+            if len(set(index)) != len(index) or not all(0 <= i < len(xv) for i in index):
+                # a repeated row would lose all but one of its gradients in
+                # the vjp's full[index] = g
+                raise ShapeError(f"take: rows {index} must be distinct and in [0, {len(xv)})")
+            if index and index == list(range(index[0], index[0] + len(index))):
+                index = slice(index[0], index[0] + len(index))
         out = xv[index]
 
         def vjp(g):
@@ -303,7 +321,8 @@ class Tape:
             if node.vjp is None:
                 continue
             for p, pg in zip(node.parents, node.vjp(g)):
-                grads[p] = pg if grads[p] is None else grads[p] + pg
+                if pg is not None:
+                    grads[p] = pg if grads[p] is None else grads[p] + pg
         self.grads = grads
         out = {}
         for ref in self.leaf_refs:

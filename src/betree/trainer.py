@@ -1,5 +1,5 @@
 """Training loop: alternate between rebuilding the boundary tree under the
-current transform and running gradient steps with the structure frozen,
+current transform and one batched gradient step with the structure frozen,
 until the mean loss stops moving. Also full-tree evaluation.
 """
 
@@ -27,6 +27,11 @@ from .transform import (
 
 @dataclass
 class TrainConfig:
+    """Training settings. Each outer iteration builds a tree from
+    `tree_build_samples` samples, then takes one Adam step on the mean loss
+    of the next `grad_steps_per_iter` samples (the query batch; 0 skips the
+    step)."""
+
     arch: MlpArchitecture
     tree_build_samples: int = 20
     grad_steps_per_iter: int = 10
@@ -138,10 +143,12 @@ def train(train_set, test_set, config: TrainConfig, *,
     """Run the outer loop and return the final parameters plus the log.
 
     Per outer iteration: discard the tree, rebuild it from the next
-    tree_build_samples stream samples under the current parameters, then run
-    grad_steps_per_iter single-sample gradient steps against the frozen
-    structure (stored samples are re-embedded as the parameters move), and
-    record the iteration. Stops on convergence or at max_outer_iters.
+    tree_build_samples stream samples under the current parameters, then
+    take one Adam step on the mean loss of the next grad_steps_per_iter
+    samples walked through that tree (one loss_and_grad over the batch,
+    reading the node rows the build just embedded), and record the
+    iteration with that mean loss. Stops on convergence or at
+    max_outer_iters.
 
     test_error in the log is measured per iteration against that iteration's
     small tree with the end-of-iteration parameters; full_tree_eval adds the
@@ -171,12 +178,11 @@ def train(train_set, test_set, config: TrainConfig, *,
         tree = build_tree(stream.take(config.tree_build_samples), make_embedder(params),
                           config.max_children, class_count)
 
-        losses = []
-        clamps = 0
-        for s in stream.take(config.grad_steps_per_iter):
-            value, grads, step_clamps = loss_and_grad(tree, params, s)
-            clamps += step_clamps
-            if not math.isfinite(value):
+        batch = stream.take(config.grad_steps_per_iter)
+        mean_loss, clamps = 0.0, 0
+        if batch:
+            mean_loss, grads, clamps = loss_and_grad(tree, params, batch)
+            if not math.isfinite(mean_loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at iteration {iteration}", params, log)
             try:
@@ -184,8 +190,6 @@ def train(train_set, test_set, config: TrainConfig, *,
             except NonFiniteGradientError as e:
                 raise TrainingDivergedError(
                     f"{e} (iteration {iteration})", params, log) from e
-            losses.append(value)
-        mean_loss = float(np.mean(losses)) if losses else 0.0
 
         test_error = None
         full_test_error = None

@@ -18,6 +18,8 @@ from betree import (
     build_tree,
     class_log_prob,
     collect_param_grads,
+    embed,
+    embed_paths,
     greedy_path,
     identity_embedder,
     init_params,
@@ -31,7 +33,15 @@ from betree import (
     predict_soft,
     traverse,
 )
-from helpers import random_samples, random_tree
+from betree import transform
+from betree.tape import grad_check
+from helpers import (
+    bind_as_leaves,
+    general_position_case,
+    in_general_position,
+    random_samples,
+    random_tree,
+)
 from oracles import enumerate_traversals, enumerated_class_expectation, softmax_neg
 
 IDENT = identity_embedder()
@@ -315,6 +325,115 @@ def test_single_node_tree_has_zero_gradients():
     value, grads, clamps = loss_and_grad(tree, params, Sample([1.0, 1.0], 0))
     assert value == 0.0 and clamps == 0
     assert all(np.all(g == 0.0) for g in grads.weights + grads.biases)
+
+
+# ---- batched step ------------------------------------------------------------
+
+def _batch_case(rng, k):
+    params = init_params(MlpArchitecture((3, 7, 4)), int(rng.integers(1 << 31)))
+    class_count = int(rng.integers(2, 4))
+    tree = random_tree(rng, n_range=(2, 20), dim=3, class_count=class_count,
+                       embedder=make_embedder(params), max_children=(None, 2)[int(rng.integers(2))])
+    return tree, params, random_samples(rng, k, 3, class_count)
+
+
+def test_batch_step_is_the_mean_of_per_query_steps():
+    rng = np.random.default_rng(210)
+    for k in (2, 3, 8, 20):
+        for _ in range(5):
+            tree, params, batch = _batch_case(rng, k)
+            value, grads, clamps = loss_and_grad(tree, params, batch)
+            singles = [loss_and_grad(tree, params, s) for s in batch]
+            # every per-query loss is bitwise its single-query value, summed in
+            # batch order
+            assert value == sum(v for v, _, _ in singles) / k
+            assert clamps == sum(c for _, _, c in singles)
+            mean = sum(g.flat for _, g, _ in singles) / k
+            assert np.max(np.abs(grads.flat - mean)) <= 1e-12 * np.max(np.abs(mean))
+
+
+def test_batch_step_rejects_an_empty_batch():
+    tree, params, _ = _batch_case(np.random.default_rng(211), 1)
+    with pytest.raises(ValueError):
+        loss_and_grad(tree, params, [])
+
+
+def test_batch_loss_gradient_matches_fd():
+    rng = np.random.default_rng(212)
+    checked = 0
+    while checked < 8:
+        tree, params, query = general_position_case(rng)
+        batch = [query]
+        for _ in range(200):
+            q = Sample(rng.normal(size=params.arch.in_dim), int(rng.integers(tree.class_count)))
+            if len(batch) < 3 and in_general_position(tree, params, q):
+                batch.append(q)
+        if len(batch) < 3:
+            continue
+        n_w = len(params.weights)
+        # the last-layer bias moves every embedding together, so the loss is
+        # flat along it (criterion 2 checks that direction analytically)
+        last_bias = params.biases[-1].copy()
+        arrays = [w.copy() for w in params.weights] + [b.copy() for b in params.biases[:-1]]
+
+        def build_loss(tape, refs):
+            bound = bind_as_leaves(tape, params.arch, refs[:n_w],
+                                   list(refs[n_w:]) + [tape.leaf(last_bias)])
+            traces = [greedy_path(tape, tree, bound, s.features) for s in batch]
+            embed_paths(traces)
+            return tape.sum_scalars([loss(t, s.label) for t, s in zip(traces, batch)])
+
+        assert grad_check(build_loss, arrays, step=1e-5) < 1e-4
+        checked += 1
+
+
+def test_embed_paths_block_is_queries_then_candidate_union():
+    rng = np.random.default_rng(213)
+    for k in (1, 2, 5, 12):
+        for _ in range(4):
+            tree, params, batch = _batch_case(rng, k)
+            tape = Tape()
+            traces = [greedy_path(tape, tree, params, s.features) for s in batch]
+            block = tape.value(embed_paths(traces))
+            union = []
+            for t in traces:
+                if t.decisions:
+                    union += [c for c in t.decisions[-1].candidates if c not in union]
+            rows = [s.features for s in batch] + [tree.nodes[c].sample.features for c in union]
+            assert block.shape == (k + len(union), params.arch.out_dim)
+            assert block.tobytes() == embed(params, np.array(rows)).tobytes()
+            for i, t in enumerate(traces):
+                assert tape.value(t.query_ref).tobytes() == block[i].tobytes()
+                if t.decisions:
+                    cands = t.decisions[-1].candidates
+                    want = block[[k + union.index(c) for c in cands]]
+                    assert tape.value(t.candidates_ref).tobytes() == want.tobytes()
+                else:
+                    assert t.candidates_ref is None
+
+
+def test_embed_paths_rejects_traces_of_different_tapes():
+    tree, params, batch = _batch_case(np.random.default_rng(214), 2)
+    traces = [greedy_path(Tape(), tree, params, s.features) for s in batch]
+    with pytest.raises(ValueError):
+        embed_paths(traces)
+
+
+def test_batch_step_embeds_no_tree_row(monkeypatch):
+    # the tree was built under these parameters, so every walk reads the
+    # rows the build stored: the only plain embed call is the query block
+    rng = np.random.default_rng(215)
+    tree, params, batch = _batch_case(rng, 6)
+    calls = []
+    real = transform.embed
+
+    def counting(p, x):
+        calls.append(np.shape(x))
+        return real(p, x)
+
+    monkeypatch.setattr(transform, "embed", counting)
+    loss_and_grad(tree, params, batch)
+    assert calls == [(6, 3)]
 
 
 # ---- predict_soft vs predict_hard ---------------------------------------------

@@ -148,6 +148,52 @@ def test_take_rows_value_and_gradient():
         tape.take(tape.leaf(np.ones(3)), 0)
 
 
+def test_matmul_add_constant_input_gets_no_gradient():
+    # the first layer's input is the raw-feature block, a constant: its
+    # input gradient is never formed, and the weight and bias gradients are
+    # bitwise those of the same pass with a leaf input
+    rng = np.random.default_rng(12)
+    w1, b1 = rng.normal(size=(6, 4)), rng.normal(size=6)
+    w2, b2 = rng.normal(size=(3, 6)), rng.normal(size=3)
+    x = rng.normal(size=(5, 4))
+
+    def run(as_leaf):
+        tape = Tape()
+        refs = [tape.leaf(a) for a in (w1, b1, w2, b2)]
+        rx = tape.leaf(x) if as_leaf else tape.constant(x)
+        h = tape.relu(tape.matmul_add(refs[0], rx, refs[1]))
+        out = tape_sum(tape, [tape.tanh(tape.matmul_add(refs[2], h, refs[3]))])
+        grads = tape.backward(out)
+        return tape, rx, [grads[r] for r in refs]
+
+    tape, rx, got = run(False)
+    _, _, want = run(True)
+    assert tape.grads[rx] is None and rx not in tape.leaf_refs
+    assert all(g.tobytes() == h.tobytes() for g, h in zip(got, want))
+
+
+def test_take_row_list_values_gradient_and_validation():
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(6, 3))
+    order, run = [4, 0, 5], [2, 3, 4]
+    tape = Tape()
+    rx = tape.leaf(x)
+    picked, ran = tape.take(rx, order), tape.take(rx, run)
+    assert np.array_equal(tape.value(picked), x[order])
+    assert np.array_equal(tape.value(ran), x[2:5])
+    grads = tape.backward(tape_sum(tape, [tape.tanh(picked), ran], [1.0, 3.0]))
+
+    def f(a):
+        t = Tape()
+        ra = t.leaf(a)
+        return float(t.value(tape_sum(t, [t.tanh(t.take(ra, order)), t.take(ra, run)], [1.0, 3.0])))
+
+    assert np.allclose(grads[rx], fd_gradient(f, x), atol=1e-7)
+    for bad in ([1, 3, 1], [6], [-1]):
+        with pytest.raises(ShapeError, match="take"):
+            tape.take(rx, bad)
+
+
 @pytest.mark.parametrize("op,ref_fn", [
     ("relu", lambda v: np.maximum(v, 0.0)),
     ("tanh", np.tanh),

@@ -84,6 +84,32 @@ def test_zero_grad_steps_leaves_params_unchanged():
     assert log.converged and len(log.records) == 2  # flat loss converges at once
 
 
+def test_one_batched_step_per_iteration(monkeypatch):
+    # each iteration makes one loss_and_grad over its whole query batch and
+    # one Adam step; a zero batch makes neither
+    data = gen_half_moons(80, 0.1, seed=14)
+    batches, steps = [], []
+    real_loss, real_adam = trainer.loss_and_grad, trainer.adam_step
+
+    def loss_spy(tree, params, samples):
+        batches.append(len(samples))
+        return real_loss(tree, params, samples)
+
+    def adam_spy(*args):
+        steps.append(args)
+        return real_adam(*args)
+
+    monkeypatch.setattr(trainer, "loss_and_grad", loss_spy)
+    monkeypatch.setattr(trainer, "adam_step", adam_spy)
+    _, log = train(data, None, tiny_config(max_outer_iters=3, convergence_rel_threshold=1e-15))
+    assert len(log.records) == 3
+    assert batches == [4, 4, 4] and len(steps) == 3
+    batches.clear()
+    steps.clear()
+    train(data, None, tiny_config(grad_steps_per_iter=0, max_outer_iters=3))
+    assert batches == [] and steps == []
+
+
 def test_single_class_dataset_converges_immediately():
     data = const_dataset(40, label=0)
     params, log = train(data, data, tiny_config(max_outer_iters=10))
