@@ -37,17 +37,21 @@ from .data import (
     write_embedding_csv,
 )
 from .soft_path import (
-    ClassLogProb,
+    LOG_FLOOR,
+    MISS_LOSS,
+    LossHead,
     PathTrace,
-    class_log_prob,
+    aggregation_mask,
+    batch_loss,
+    class_probs,
     embed_paths,
     greedy_path,
-    loss,
     loss_and_grad,
+    loss_head,
     path_log_prob,
     predict_soft,
 )
-from .tape import LOG_FLOOR, ShapeError, Tape, grad_check, l2_value, neg_dist_log_softmax_value
+from .tape import ShapeError, Tape, grad_check, l2_value, neg_dist_log_softmax_value
 from .trainer import (
     IterRecord,
     TrainConfig,

@@ -126,7 +126,7 @@ def _load_params(args, parser: _Parser):
     if args.checkpoint and args.identity:
         parser.error("give either --checkpoint or --identity, not both")
     if args.checkpoint:
-        return load_checkpoint(args.checkpoint, args.activation)
+        return load_checkpoint(args.checkpoint)
     if args.identity:
         return None
     parser.error("need --checkpoint or --identity")
@@ -288,7 +288,6 @@ def build_parser() -> _Parser:
     _add_dataset_flags(p, required=True)
     p.add_argument("--checkpoint", help="transform checkpoint to evaluate")
     p.add_argument("--identity", action="store_true", help="use raw features")
-    p.add_argument("--activation", choices=("relu", "tanh"), default="relu")
     p.add_argument("--metrics-out", help="write test_error,node_count to this CSV")
     p.set_defaults(func=cmd_eval)
 
@@ -298,7 +297,6 @@ def build_parser() -> _Parser:
     p.add_argument("--tree", help="tree snapshot to render")
     p.add_argument("--checkpoint", help="transform for building a tree from data")
     p.add_argument("--identity", action="store_true", help="use raw features")
-    p.add_argument("--activation", choices=("relu", "tanh"), default="relu")
     p.add_argument("--out", required=True, help="DOT output path")
     p.set_defaults(func=cmd_export_dot)
 
@@ -314,7 +312,6 @@ def build_parser() -> _Parser:
     _add_dataset_flags(p, required=True)
     p.add_argument("--checkpoint", help="transform checkpoint")
     p.add_argument("--identity", action="store_true", help="use raw features")
-    p.add_argument("--activation", choices=("relu", "tanh"), default="relu")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_dump_embeddings)
 

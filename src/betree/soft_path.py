@@ -5,169 +5,203 @@ a root-to-final path gets the product of its transition probabilities, and
 the class prediction aggregates the last decision's candidate mass by label.
 The walk is boundary_tree.traverse itself under the plain embedder; the
 queries and their last decisions' candidates then go on a Tape as one row
-block, so the loss gradient reaches the transform parameters through the
-queries and through the stored samples they aggregate.
+block, and one head node turns that block into the batch's summed
+cross-entropy with a closed-form gradient, so the loss gradient reaches the
+transform parameters through the queries and through the stored samples
+they aggregate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import transform
 from .boundary_tree import STOP_STAYED, BoundaryTree, Sample, TraceStep, traverse
-from .tape import Tape, neg_dist_log_softmax_value
+from .tape import DISTANCE_EPS, Tape, l2_value, neg_dist_log_softmax_value
+
+# A structural miss (the true class has no member in the aggregation set)
+# scores the true class at this floor mass instead of 0.
+LOG_FLOOR = 1e-30
+MISS_LOSS = -math.log(LOG_FLOOR)
 
 
 @dataclass
 class PathTrace:
-    """Greedy decision sequence for one raw query, tied to its tape, tree
-    and parameters (None for the identity embedding).
+    """Greedy decision sequence for one raw query, tied to its tree and
+    parameters (None for the identity embedding)."""
 
-    `query_ref` and `candidates_ref` are the query's row and the row block
-    of the last decision's candidate embeddings, in candidate order, on the
-    tape; embed_paths sets them (candidates_ref stays None without a
-    decision).
-    """
-
-    tape: Tape
     tree: BoundaryTree
     params: transform.ParameterSet | None
     query: np.ndarray
     decisions: list[TraceStep]
     final: int
     stop_mode: str
-    query_ref: int | None = None
-    candidates_ref: int | None = None
 
 
 @dataclass
-class ClassLogProb:
-    """Per-class log-probability refs, the raw log-score refs used for clamp
-    diagnostics, and the ref of the aggregation decision's distance vector
-    (None without a decision)."""
+class LossHead:
+    """The loss head of a query batch at one block value: the summed loss,
+    its gradient with respect to the block, each query's last-decision
+    distances (None without a decision) and the structural-miss count."""
 
-    refs: list[int]
-    log_score_refs: list[int]
-    dist_ref: int | None
-
-    def values(self, tape: Tape) -> np.ndarray:
-        return np.array([float(tape.value(r)) for r in self.refs])
+    value: np.float64
+    grad: np.ndarray
+    distances: list[np.ndarray | None]
+    misses: int
 
 
-def greedy_path(tape: Tape, tree: BoundaryTree, params, y, y_emb=None) -> PathTrace:
+def greedy_path(tree: BoundaryTree, params, y, y_emb=None) -> PathTrace:
     """Soft traversal: boundary_tree.traverse under the plain embedder of
     `params` (identity when params is None). `y_emb` is the query's plain
-    embedding when the caller already has it.
-
-    Nothing goes on `tape` yet: embed_paths puts the rows the loss reads
-    there, for this trace alone (class_log_prob does that on demand) or
-    for a whole batch of traces at once.
-    """
+    embedding when the caller already has it."""
     embedder = transform.identity_embedder() if params is None else transform.make_embedder(params)
     trace = traverse(tree, embedder, y, y_emb)
-    return PathTrace(tape, tree, params, np.asarray(y, dtype=np.float64),
+    return PathTrace(tree, params, np.asarray(y, dtype=np.float64),
                      trace.steps, trace.final, trace.stop_mode)
 
 
-def embed_paths(traces: list[PathTrace]) -> int:
-    """Put one row block on the traces' shared tape and set each trace's
-    query_ref and candidates_ref to its rows; returns the block's ref.
+def embed_paths(tape: Tape, traces: list[PathTrace]) -> tuple[int, list[list[int]]]:
+    """Put one row block on `tape`; returns its ref and, per trace, the
+    block rows of its last decision's candidates in candidate order (empty
+    without a decision).
 
     The block holds the k queries, then the union of their last decisions'
     candidates in first-seen order, each node once, embedded by a single
-    transform.forward (constants when params is None), so one backward
+    transform.forward (a constant when params is None), so one backward
     pass reaches the parameters with one weight-gradient product per
     layer. Every row is bitwise the plain embedder's, so the walks are the
-    ones the loss differentiates. For one trace the block is
-    [query; last decision's candidates].
+    ones the loss differentiates.
     """
     first = traces[0]
-    tape, tree, params = first.tape, first.tree, first.params
-    if any(t.tape is not tape or t.tree is not tree or t.params is not params for t in traces):
-        raise ValueError("embed_paths: traces must share one tape, tree and parameter set")
+    tree, params = first.tree, first.params
+    if any(t.tree is not tree or t.params is not params for t in traces):
+        raise ValueError("embed_paths: traces must share one tree and parameter set")
     row_of: dict[int, int] = {}
     for t in traces:
         if t.decisions:
             for c in t.decisions[-1].candidates:
                 row_of.setdefault(c, len(traces) + len(row_of))
     block = np.array([*(t.query for t in traces), *(tree.nodes[c].sample.features for c in row_of)])
-    rows = tape.constant(block) if params is None else transform.forward(tape, params, block)
-    for i, t in enumerate(traces):
-        t.query_ref = tape.take(rows, i)
-        if t.decisions:
-            t.candidates_ref = tape.take(rows, [row_of[c] for c in t.decisions[-1].candidates])
-    return rows
+    ref = tape.constant(block) if params is None else transform.forward(tape, params, block)
+    return ref, [[row_of[c] for c in t.decisions[-1].candidates] if t.decisions else []
+                 for t in traces]
 
 
-def path_log_prob(trace: PathTrace) -> int:
+def path_log_prob(trace: PathTrace) -> float:
     """Log-probability of the traced node sequence under the stochastic
-    relaxation: the sum of the chosen transitions' log-probs, as a tape
-    constant that never reaches the loss. An empty decision list is the
-    empty product (log 1 = 0)."""
+    relaxation: the sum of the chosen transitions' log-probs. An empty
+    decision list is the empty product (log 1 = 0)."""
     total = np.float64(0.0)
     for d in trace.decisions:
         total = total + neg_dist_log_softmax_value(d.distances)[d.chosen]
-    return trace.tape.constant(total)
+    return float(total)
 
 
-def class_log_prob(trace: PathTrace) -> ClassLogProb:
-    """Per-class log-probabilities from the final decision's candidate mass.
+def aggregation_mask(trace: PathTrace) -> np.ndarray:
+    """Which of the last decision's candidates carry class mass: after a
+    stayed stop, the whole candidate set (the final node and its children);
+    after a leaf stop, all but the decision node (the final node and its
+    siblings)."""
+    last = trace.decisions[-1]
+    if trace.stop_mode == STOP_STAYED:
+        return np.ones(len(last.candidates), dtype=bool)
+    return np.array([c != last.node for c in last.candidates])
 
-    Aggregation set: for a stayed stop, the last decision's full candidate
-    set (final node plus its children); for a leaf stop, that set minus the
-    decision node (the final node and its siblings). Per-class scores sum
-    the aggregated transition probabilities by label and are renormalized.
-    Only the last decision goes on the tape: the path prefix's
-    log-probability would add the same term to every class and cancel in the
-    normalization. A single-node tree predicts the root's label with
-    probability 1.
-    """
-    tape = trace.tape
+
+def _log_mass(neg: np.ndarray, mask: np.ndarray):
+    """logsumexp of `neg` over `mask`, and the softmax of the masked
+    entries (zero elsewhere)."""
+    m = neg[mask].max()
+    e = np.exp(neg - m, where=mask, out=np.zeros_like(neg))
+    total = e.sum()
+    return m + np.log(total), e / total
+
+
+def class_probs(trace: PathTrace) -> np.ndarray:
+    """Per-class probabilities from the last decision's candidate mass: the
+    softmax over the aggregation set, summed by label. The path prefix
+    would scale every class alike, so only the last decision counts. A
+    query without a decision gets the root's label with probability 1."""
     tree = trace.tree
-    dist_ref = None
-    if trace.query_ref is None:
-        embed_paths([trace])
+    probs = np.zeros(tree.class_count)
     if not trace.decisions:
-        members = [(trace.final, tape.constant(1.0))]
-    else:
-        last = trace.decisions[-1]
-        dist_ref = tape.l2_distance(trace.query_ref, trace.candidates_ref)
-        logp_refs = tape.neg_dist_log_softmax(dist_ref)
-        members = [(cid, tape.exp(lp)) for cid, lp in zip(last.candidates, logp_refs)
-                   if trace.stop_mode == STOP_STAYED or cid != last.node]
-
-    score_refs = []
-    for c in range(tree.class_count):
-        parts = [p for nid, p in members if tree.nodes[nid].label == c]
-        score_refs.append(tape.sum_scalars(parts))
-    log_score_refs = [tape.log(s) for s in score_refs]
-    log_total = tape.log(tape.sum_scalars(score_refs))
-    refs = [tape.sub(ls, log_total) for ls in log_score_refs]
-    return ClassLogProb(refs, log_score_refs, dist_ref)
+        probs[tree.nodes[trace.final].label] = 1.0
+        return probs
+    last = trace.decisions[-1]
+    _, p = _log_mass(-last.distances, aggregation_mask(trace))
+    np.add.at(probs, [tree.nodes[c].label for c in last.candidates], p)
+    return probs
 
 
-def loss(trace: PathTrace, true_label: int) -> int:
-    """Cross-entropy against the true class; counts a clamp event when the
-    true class carried no aggregated mass (the log floor fired)."""
-    tree = trace.tree
-    if not 0 <= true_label < tree.class_count:
-        raise ValueError(f"true_label {true_label} outside [0, {tree.class_count})")
-    clp = class_log_prob(trace)
-    tape = trace.tape
-    if tape.nodes[clp.log_score_refs[true_label]].clamped:
-        tape.clamp_events += 1
-    return tape.neg(clp.refs[true_label])
+def loss_head(block: np.ndarray, rows: list[list[int]], traces: list[PathTrace],
+              labels) -> LossHead:
+    """Summed cross-entropy of the traces' class masses, read off `block`
+    (embed_paths' value, with its `rows`), and its closed-form gradient.
+
+    For query i with aggregation set A and true-class part A∩c of its last
+    decision's candidates, the loss is logsumexp_A(-d) - logsumexp_{A∩c}(-d)
+    and its derivative in d is softmax_{A∩c}(-d) - softmax_A(-d), as in NCA
+    (Goldberger et al. 2005); it reaches the block rows through
+    (q - c) / d, with the zero subgradient below DISTANCE_EPS. A structural
+    miss (empty A∩c) is scored at the floor mass LOG_FLOOR: MISS_LOSS plus
+    the log of A's share of the full candidate softmax. A query without a
+    decision scores 0 if the root's label is right and MISS_LOSS if not.
+    """
+    grad = np.zeros_like(block)
+    value = np.float64(0.0)
+    distances, misses = [], 0
+    for i, (t, r, y) in enumerate(zip(traces, rows, labels)):
+        nodes = t.tree.nodes
+        if not t.decisions:
+            miss = nodes[t.final].label != y
+            value += MISS_LOSS if miss else 0.0
+            misses += int(miss)
+            distances.append(None)
+            continue
+        d = l2_value(block[i], block[r])
+        neg = -d
+        agg = aggregation_mask(t)
+        true = agg & np.array([nodes[c].label == y for c in t.decisions[-1].candidates])
+        log_a, p_a = _log_mass(neg, agg)
+        if true.any():
+            log_t, p_t = _log_mass(neg, true)
+            value += log_a - log_t
+            g = p_t - p_a
+        else:
+            misses += 1
+            log_all, p_all = _log_mass(neg, np.ones_like(agg))
+            value += MISS_LOSS + (log_a - log_all)
+            g = p_all - p_a
+        scale = np.divide(g, d, out=np.zeros_like(d), where=d >= DISTANCE_EPS)
+        scaled = scale[:, None] * (block[i] - block[r])
+        grad[i] += scaled.sum(axis=0)
+        grad[r] -= scaled
+        distances.append(d)
+    return LossHead(value, grad, distances, misses)
+
+
+def batch_loss(tape: Tape, traces: list[PathTrace], labels) -> tuple[int, LossHead]:
+    """The traces' summed loss as one tape node over embed_paths' block;
+    returns its ref and the LossHead behind it."""
+    class_count = traces[0].tree.class_count
+    for y in labels:
+        if not 0 <= y < class_count:
+            raise ValueError(f"true label {y} outside [0, {class_count})")
+    block, rows = embed_paths(tape, traces)
+    head = loss_head(tape.value(block), rows, traces, labels)
+    return tape.push(head.value, (block,), lambda g: (g * head.grad,)), head
 
 
 def loss_and_grad(tree: BoundaryTree, params: transform.ParameterSet, samples):
     """One gradient step's loss over one Sample or a batch of them, on a
     fresh tape: the queries are embedded plain as one block for their
-    greedy_path walks, embed_paths puts the tape block on, and one backward
-    from the sum of the per-query losses gives the gradient.
+    greedy_path walks, batch_loss puts the block and the head on, and one
+    backward from the head gives the gradient.
 
-    Returns (mean loss value, mean gradient ParameterSet, clamp event
+    Returns (mean loss value, mean gradient ParameterSet, structural-miss
     count over the batch). Parameters are not mutated; the tape is
     discarded with the return.
     """
@@ -176,21 +210,17 @@ def loss_and_grad(tree: BoundaryTree, params: transform.ParameterSet, samples):
         raise ValueError("loss_and_grad: no samples")
     tape = Tape()
     queries = np.array([s.features for s in samples])
-    traces = [greedy_path(tape, tree, params, s.features, row)
+    traces = [greedy_path(tree, params, s.features, row)
               for s, row in zip(samples, transform.make_embedder(params)(queries))]
-    embed_paths(traces)
-    total = tape.sum_scalars([loss(t, s.label) for t, s in zip(traces, samples)])
-    grads = transform.collect_param_grads(tape, params, tape.backward(total))
-    value = float(tape.value(total))
+    ref, head = batch_loss(tape, traces, [s.label for s in samples])
+    grads = transform.collect_param_grads(tape, params, tape.backward(ref))
+    value = float(head.value)
     if len(samples) > 1:
         value /= len(samples)
         grads.flat /= len(samples)
-    return value, grads, tape.clamp_events
+    return value, grads, head.misses
 
 
 def predict_soft(tree: BoundaryTree, params, y) -> np.ndarray:
-    """Class probabilities for a query on a throwaway tape (no gradients)."""
-    tape = Tape()
-    trace = greedy_path(tape, tree, params, y)
-    clp = class_log_prob(trace)
-    return np.exp(clp.values(tape))
+    """Class probabilities for a query (see class_probs)."""
+    return class_probs(greedy_path(tree, params, y))

@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation over small dense float64 arrays.
 
-One Tape records the computation for one gradient step (one query or a
-query batch); array ops take a single row or a row block (one row per
-embedded vector). Node references are plain ints into an append-only arena,
-so parent links always point backwards and the graph is topologically
-ordered by construction; backward() is a single reverse sweep over the
-arena.
+One Tape records the computation for one gradient step: the MLP's affine
+maps and activations over a row block (one row per embedded vector), then
+the loss node that the soft path adds with push() and a closed-form vjp.
+Node references are plain ints into an append-only arena, so parent links
+always point backwards and the graph is topologically ordered by
+construction; backward() is a single reverse sweep over the arena.
 
 A Tape is strictly single-threaded. Distinct tapes may share read-only
 input arrays.
@@ -17,13 +17,9 @@ import math
 
 import numpy as np
 
-# Below this distance the L2 derivative is singular; we use the zero
-# subgradient instead of dividing by ~0.
+# Below this distance the L2 derivative is singular; gradients through a
+# distance use the zero subgradient instead of dividing by ~0.
 DISTANCE_EPS = 1e-12
-
-# Floor for log() inputs; turns log(0) into a large finite value.
-LOG_FLOOR = 1e-30
-LOG_FLOOR_VALUE = math.log(LOG_FLOOR)
 
 
 class ShapeError(ValueError):
@@ -48,9 +44,9 @@ def l2_value(a: np.ndarray, b: np.ndarray):
     """Euclidean distance from a rank-1 `a` to `b`, or to each row of a
     rank-2 `b` (one distance per row).
 
-    The single distance kernel, shared by the tape op and plain tree
-    traversal: both must agree bitwise, and each row's sum runs over the
-    same contiguous elements in the same order as the rank-1 case.
+    The single distance kernel, shared by the soft path's loss head and
+    plain tree traversal: both must agree bitwise, and each row's sum runs
+    over the same contiguous elements in the same order as the rank-1 case.
     """
     diff = a - b
     return np.sqrt((diff * diff).sum(axis=-1))
@@ -60,8 +56,7 @@ def neg_dist_log_softmax_value(dists: np.ndarray) -> np.ndarray:
     """Log of softmax(-d) over a vector of distances, max-subtracted so
     large distances cannot underflow the normalizer.
 
-    The single log-softmax kernel, shared by the tape op and the plain
-    path probability of a traversal.
+    The log-softmax kernel of a traversal's path probability.
     """
     neg = -dists
     m = neg.max()
@@ -69,7 +64,7 @@ def neg_dist_log_softmax_value(dists: np.ndarray) -> np.ndarray:
 
 
 class _Node:
-    __slots__ = ("value", "parents", "vjp", "clamped", "constant")
+    __slots__ = ("value", "parents", "vjp", "constant")
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = value
@@ -77,7 +72,6 @@ class _Node:
         # Maps the output gradient to one gradient per parent; None for a
         # parent that needs none.
         self.vjp = vjp
-        self.clamped = False
         self.constant = False
 
 
@@ -88,8 +82,6 @@ class Tape:
         self.nodes: list[_Node] = []
         self.leaf_refs: list[int] = []
         self.grads: list = []
-        # Times the log floor fired for a value that fed the loss.
-        self.clamp_events = 0
         # ParameterSet id -> per-layer leaf refs; lets every forward pass on
         # this tape reuse the same parameter leaves (see transform.bind_params).
         self.bound_params: dict[int, list] = {}
@@ -97,7 +89,9 @@ class Tape:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def _push(self, value, parents=(), vjp=None) -> int:
+    def push(self, value, parents=(), vjp=None) -> int:
+        """Record a node: `vjp` maps its output gradient to one gradient
+        per parent (None for a parent that needs none)."""
         self.nodes.append(_Node(value, parents, vjp))
         return len(self.nodes) - 1
 
@@ -111,7 +105,7 @@ class Tape:
         arr = np.asarray(array, dtype=np.float64)
         if arr.ndim > 2:
             raise ShapeError(f"leaf: rank {arr.ndim} unsupported, expected rank 0..2")
-        ref = self._push(arr)
+        ref = self.push(arr)
         self.leaf_refs.append(ref)
         return ref
 
@@ -121,7 +115,7 @@ class Tape:
         arr = np.asarray(array, dtype=np.float64)
         if arr.ndim > 2:
             raise ShapeError(f"constant: rank {arr.ndim} unsupported, expected rank 0..2")
-        ref = self._push(arr)
+        ref = self.push(arr)
         self.nodes[ref].constant = True
         return ref
 
@@ -149,7 +143,7 @@ class Tape:
             g2 = np.atleast_2d(g)
             return g2.T @ np.atleast_2d(xv), None if x_constant else g @ wv, g2.sum(axis=0)
 
-        return self._push(out, (w, x, b), vjp)
+        return self.push(out, (w, x, b), vjp)
 
     def relu(self, x: int) -> int:
         xv = self.nodes[x].value
@@ -159,7 +153,7 @@ class Tape:
             # subgradient 0 at exactly 0
             return (np.where(xv > 0.0, g, 0.0),)
 
-        return self._push(out, (x,), vjp)
+        return self.push(out, (x,), vjp)
 
     def tanh(self, x: int) -> int:
         xv = self.nodes[x].value
@@ -168,137 +162,7 @@ class Tape:
         def vjp(g):
             return (g * (1.0 - out * out),)
 
-        return self._push(out, (x,), vjp)
-
-    def take(self, x: int, index) -> int:
-        """Row `index` (an int) or rows `index` (a slice, or a list of
-        distinct row numbers in output order) of a rank-2 node. A list that
-        is one ascending run becomes a slice."""
-        xv = self.nodes[x].value
-        if np.ndim(xv) != 2:
-            raise ShapeError(f"take: expected a rank-2 node, got shape {np.shape(xv)}")
-        if isinstance(index, list):
-            if len(set(index)) != len(index) or not all(0 <= i < len(xv) for i in index):
-                # a repeated row would lose all but one of its gradients in
-                # the vjp's full[index] = g
-                raise ShapeError(f"take: rows {index} must be distinct and in [0, {len(xv)})")
-            if index and index == list(range(index[0], index[0] + len(index))):
-                index = slice(index[0], index[0] + len(index))
-        out = xv[index]
-
-        def vjp(g):
-            full = np.zeros_like(xv)
-            full[index] = g
-            return (full,)
-
-        return self._push(out, (x,), vjp)
-
-    def l2_distance(self, a: int, b: int) -> int:
-        """Euclidean distance from a rank-1 node `a` to a rank-1 node `b`
-        (scalar output) or to each row of a rank-2 node `b` (one distance
-        per row), with values from l2_value."""
-        av = self.nodes[a].value
-        bv = self.nodes[b].value
-        if np.ndim(av) != 1 or np.ndim(bv) not in (1, 2) or np.shape(bv)[-1] != av.shape[0]:
-            raise ShapeError(
-                f"l2_distance: expected a rank-1 node and a rank-1 node or row block of equal "
-                f"width, got {np.shape(av)} and {np.shape(bv)}"
-            )
-        d = l2_value(av, bv)
-
-        def vjp(g):
-            diff = av - bv
-            scale = np.divide(g, d, out=np.zeros(np.shape(d)), where=d >= DISTANCE_EPS)
-            scaled = scale[..., None] * diff
-            return (scaled if bv.ndim == 1 else scaled.sum(axis=0)), -scaled
-
-        return self._push(d, (a, b), vjp)
-
-    # ---- scalar ops ------------------------------------------------------
-
-    def neg_dist_log_softmax(self, dists: int) -> list[int]:
-        """Log of softmax(-d) over a rank-1 node of candidate distances, with
-        values from neg_dist_log_softmax_value. Returns one scalar ref per
-        candidate, in order.
-        """
-        d = self.nodes[dists].value
-        if np.ndim(d) != 1:
-            raise ShapeError(f"neg_dist_log_softmax: expected rank-1 distances, got shape {np.shape(d)}")
-        if not d.size:
-            raise ValueError("neg_dist_log_softmax: empty candidate list")
-        logps = neg_dist_log_softmax_value(d)
-        probs = np.exp(logps)
-
-        out = []
-        for j in range(len(d)):
-            def vjp(g, j=j):
-                # d logp_j / d dist_k = p_k - [k == j]
-                grads = g * probs
-                grads[j] -= g
-                return (grads,)
-
-            out.append(self._push(np.float64(logps[j]), (dists,), vjp))
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        av = self.nodes[a].value
-        bv = self.nodes[b].value
-        if np.shape(av) != np.shape(bv):
-            raise ShapeError(f"sub: shapes {np.shape(av)} and {np.shape(bv)} differ")
-
-        def vjp(g):
-            return g, -g
-
-        return self._push(av - bv, (a, b), vjp)
-
-    def neg(self, x: int) -> int:
-        xv = self.nodes[x].value
-
-        def vjp(g):
-            return (-g,)
-
-        return self._push(-xv, (x,), vjp)
-
-    def exp(self, x: int) -> int:
-        out = np.exp(self.nodes[x].value)
-
-        def vjp(g):
-            return (g * out,)
-
-        return self._push(out, (x,), vjp)
-
-    def log(self, x: int) -> int:
-        """Natural log of a scalar, clamped at LOG_FLOOR.
-
-        A clamped node keeps the floor value and a zero gradient; the
-        `clamped` flag lets loss code count how often this fires.
-        """
-        xv = float(self.nodes[x].value)
-        clamped = xv < LOG_FLOOR
-
-        def vjp(g):
-            if clamped:
-                return (np.float64(0.0),)
-            return (g / xv,)
-
-        ref = self._push(np.float64(math.log(max(xv, LOG_FLOOR))), (x,), vjp)
-        self.nodes[ref].clamped = clamped
-        return ref
-
-    def sum_scalars(self, refs: list[int]) -> int:
-        """Sum of scalar nodes in list order; the empty sum is the constant 0."""
-        if not refs:
-            return self.constant(0.0)
-        if len(refs) == 1:
-            return refs[0]
-        total = np.float64(0.0)
-        for r in refs:
-            total = total + self.nodes[r].value
-
-        def vjp(g):
-            return tuple(g for _ in refs)
-
-        return self._push(total, tuple(refs), vjp)
+        return self.push(out, (x,), vjp)
 
     # ---- backward --------------------------------------------------------
 

@@ -14,7 +14,8 @@ from .tape import Tape, affine
 
 ACTIVATIONS = ("relu", "tanh")
 
-CHECKPOINT_MAGIC = "BETREE-CKPT v1"
+CHECKPOINT_MAGIC = "BETREE-CKPT v2"
+CHECKPOINT_MAGIC_V1 = "BETREE-CKPT v1"
 
 
 class CheckpointFormatError(ValueError):
@@ -250,15 +251,16 @@ def adam_step(params: ParameterSet, grads: ParameterSet, state: AdamState) -> Pa
 
 # ---- checkpoint files ------------------------------------------------------
 #
-# Layout: one ASCII header line, one "out in" line per layer, then the
-# parameter vector verbatim as little-endian float64 (per layer: weights
-# row-major, then biases).
+# Layout: one ASCII magic line, an "activation <name>" line, one "out in"
+# line per layer, then the parameter vector verbatim as little-endian
+# float64 (per layer: weights row-major, then biases). v1 files lack the
+# activation line.
 
 def save_checkpoint(params: ParameterSet, path) -> None:
     sizes = params.arch.layer_sizes
     table = "".join(f"{o} {i}\n" for i, o in zip(sizes[:-1], sizes[1:]))
     with open(path, "wb") as f:
-        f.write(f"{CHECKPOINT_MAGIC}\n{table}".encode("ascii"))
+        f.write(f"{CHECKPOINT_MAGIC}\nactivation {params.arch.activation}\n{table}".encode("ascii"))
         f.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
@@ -294,11 +296,21 @@ def _parse_layer_table(buf: bytes, pos: int) -> tuple[list[tuple[int, int]], int
         pos = nxt
 
 
-def load_checkpoint(path, activation: str = "relu") -> ParameterSet:
+def load_checkpoint(path) -> ParameterSet:
+    """Parameters and architecture, activation included, from a v2 file; a
+    v1 file loads as relu."""
     with open(path, "rb") as f:
         buf = f.read()
     line, pos = _read_line(buf, 0)
-    if line != CHECKPOINT_MAGIC:
+    if line == CHECKPOINT_MAGIC_V1:
+        activation = "relu"
+    elif line == CHECKPOINT_MAGIC:
+        line, pos = _read_line(buf, pos)
+        key, _, activation = line.partition(" ")
+        if key != "activation" or activation not in ACTIVATIONS:
+            raise CheckpointFormatError(
+                f"bad activation line {line!r}, expected 'activation' and one of {ACTIVATIONS}")
+    else:
         raise CheckpointFormatError(f"bad checkpoint magic {line!r}, expected {CHECKPOINT_MAGIC!r}")
     dims, pos = _parse_layer_table(buf, pos)
     for (o_prev, _), (_, i_next) in zip(dims[:-1], dims[1:]):

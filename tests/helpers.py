@@ -137,4 +137,4 @@ def tape_sum(tape, refs, weights=None):
     def vjp(g):
         return tuple(np.full(np.shape(v), g * w) for w, v in zip(weights, values))
 
-    return tape._push(total, tuple(refs), vjp)
+    return tape.push(total, tuple(refs), vjp)

@@ -19,17 +19,16 @@ from betree import (
     TrainConfig,
     evaluate,
     gen_half_moons,
+    batch_loss,
     greedy_path,
     identity_embedder,
     init_params,
     load_idx,
-    loss,
     loss_and_grad,
     make_embedder,
     path_log_prob,
     predict_soft,
     shuffle_split,
-    Tape,
     train,
     traverse,
     write_train_log,
@@ -119,8 +118,8 @@ def test_criterion_2_gradient_correctness(capsys):
         def build_loss(tape, refs):
             biases = list(refs[n_w:]) + [tape.leaf(last_bias)]
             bound = bind_as_leaves(tape, params.arch, refs[:n_w], biases)
-            trace = greedy_path(tape, tree, bound, query.features)
-            return loss(trace, query.label)
+            trace = greedy_path(tree, bound, query.features)
+            return batch_loss(tape, [trace], [query.label])[0]
 
         worst = max(worst, grad_check(build_loss, arrays, step=1e-5))
     elapsed = time.perf_counter() - t0
@@ -148,7 +147,7 @@ def test_criterion_3_greedy_hard_equivalence(capsys):
                            embedder=emb, max_children=bound)
         q = rng.normal(size=dim)
         hard = traverse(tree, emb, q)
-        soft = greedy_path(Tape(), tree, params, q)
+        soft = greedy_path(tree, params, q)
         seq = [soft.decisions[0].node] if soft.decisions else [soft.final]
         seq += [d.chosen_id for d in soft.decisions if d.chosen_id != d.node]
         if seq != hard.visited or soft.stop_mode != hard.stop_mode:
@@ -177,11 +176,10 @@ def test_criterion_4_path_probability_oracle(capsys):
         walks = enumerate_traversals(children, tree.max_children, dist_of)
         table = dict(walks)
 
-        tape = Tape()
-        pt = greedy_path(tape, tree, None, q)
+        pt = greedy_path(tree, None, q)
         seq = [pt.decisions[0].node] if pt.decisions else [pt.final]
         seq += [d.chosen_id for d in pt.decisions if d.chosen_id != d.node]
-        got = math.exp(float(tape.value(path_log_prob(pt))))
+        got = math.exp(path_log_prob(pt))
         worst_path = max(worst_path, abs(got - table[tuple(seq)]))
 
         expectation = enumerated_class_expectation(walks, [n.label for n in tree.nodes], 2)

@@ -7,6 +7,7 @@ import pytest
 
 from betree import (
     MlpArchitecture,
+    ParameterSet,
     Sample,
     embed,
     gen_half_moons,
@@ -126,6 +127,37 @@ def test_train_builds_the_full_train_tree_once(tmp_path, monkeypatch, capsys):
                 "--checkpoint", str(ckpt)]) == 0
     err_s, nodes_s = capsys.readouterr().out.strip().split(",")
     assert (float(err_s), int(nodes_s)) == (float(final.group(1)), int(final.group(2)))
+
+
+def test_tanh_checkpoint_evaluates_without_an_activation_flag(tmp_path, capsys):
+    # the checkpoint names its activation, so eval and dump-embeddings read
+    # a tanh model as tanh; they take no --activation
+    ckpt = tmp_path / "tanh.ckpt"
+    assert run(FAST_TRAIN + ["--activation", "tanh", "--checkpoint-out", str(ckpt),
+                             "--log", str(tmp_path / "l.csv")]) == 2
+    final = re.search(r"final full-train tree: test_error=(\S+) nodes=(\d+)",
+                      capsys.readouterr().out)
+    params = load_checkpoint(ckpt)
+    assert params.arch == MlpArchitecture((2, 6, 2), "tanh")
+
+    out = tmp_path / "emb.csv"
+    assert run(["dump-embeddings", "--dataset", "halfmoons", "--n", "80", "--seed", "1",
+                "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+    samples = gen_half_moons(80, 0.1, 1).samples
+    dumped = load_embedding_csv(out).samples
+    assert all(np.array_equal(d.features, embed(params, s.features)) for s, d in zip(samples, dumped))
+    as_relu = ParameterSet(MlpArchitecture((2, 6, 2), "relu"), params.flat)
+    assert any(not np.array_equal(d.features, embed(as_relu, s.features))
+               for s, d in zip(samples, dumped))
+
+    assert run(["eval", "--dataset", "halfmoons", "--n", "80", "--seed", "1",
+                "--checkpoint", str(ckpt)]) == 0
+    err_s, nodes_s = capsys.readouterr().out.strip().split(",")
+    assert (float(err_s), int(nodes_s)) == (float(final.group(1)), int(final.group(2)))
+    for command in (["eval"], ["dump-embeddings", "--out", str(out)], ["export-dot", "--out", str(out)]):
+        with pytest.raises(SystemExit) as err:
+            run(command + ["--dataset", "halfmoons", "--checkpoint", str(ckpt), "--activation", "tanh"])
+        assert err.value.code == 3
 
 
 def test_missing_input_file_exits_1(tmp_path, capsys):

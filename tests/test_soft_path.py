@@ -13,18 +13,20 @@ from betree import (
     MlpArchitecture,
     ParameterSet,
     Sample,
+    MISS_LOSS,
     Tape,
     adam_step,
+    batch_loss,
     build_tree,
-    class_log_prob,
+    class_probs,
     collect_param_grads,
     embed,
     embed_paths,
     greedy_path,
     identity_embedder,
     init_params,
-    loss,
     loss_and_grad,
+    loss_head,
     make_embedder,
     neg_dist_log_softmax_value,
     new_tree,
@@ -75,17 +77,15 @@ def leaf_stop_tree():
 
 def test_single_node_trace():
     tree = new_tree(Sample([0.0, 0.0], 1))
-    tape = Tape()
-    pt = greedy_path(tape, tree, None, np.array([3.0, 3.0]))
+    pt = greedy_path(tree, None, np.array([3.0, 3.0]))
     assert pt.decisions == [] and pt.final == 0 and pt.stop_mode == STOP_LEAF
-    assert float(tape.value(path_log_prob(pt))) == 0.0  # empty product
+    assert path_log_prob(pt) == 0.0  # empty product
 
 
 def test_two_node_descent():
     tree = new_tree(Sample([0.0], 0))
     tree.add_child(0, Sample([4.0], 1))
-    tape = Tape()
-    pt = greedy_path(tape, tree, None, np.array([5.0]))
+    pt = greedy_path(tree, None, np.array([5.0]))
     assert len(pt.decisions) == 1 and pt.final == 1 and pt.stop_mode == STOP_LEAF
 
 
@@ -103,7 +103,7 @@ def test_greedy_path_mirrors_hard_traverse(use_mlp):
                            embedder=emb, max_children=(2 if _ % 2 else None))
         q = rng.normal(size=3)
         hard = traverse(tree, emb, q)
-        pt = greedy_path(Tape(), tree, params, q)
+        pt = greedy_path(tree, params, q)
         assert soft_visited(pt) == hard.visited
         assert (pt.final, pt.stop_mode) == (hard.final, hard.stop_mode)
         assert len(pt.decisions) == len(hard.steps)
@@ -112,9 +112,8 @@ def test_greedy_path_mirrors_hard_traverse(use_mlp):
             assert np.array_equal(dec.distances, step.distances)
         if pt.decisions:
             # the distances the loss differentiates are the walk's last ones
-            clp = class_log_prob(pt)
-            on_tape = pt.tape.value(clp.dist_ref)
-            assert np.array_equal(on_tape, pt.decisions[-1].distances)
+            _, head = batch_loss(Tape(), [pt], [0])
+            assert np.array_equal(head.distances[0], pt.decisions[-1].distances)
 
 
 def test_soft_path_leaves_hard_predictions_unchanged():
@@ -141,8 +140,7 @@ def test_decision_probabilities_normalize():
     rng = np.random.default_rng(201)
     for _ in range(10):
         tree = random_tree(rng, n_range=(4, 15), dim=2, class_count=2)
-        tape = Tape()
-        pt = greedy_path(tape, tree, None, rng.normal(size=2))
+        pt = greedy_path(tree, None, rng.normal(size=2))
         for dec in pt.decisions:
             probs = np.exp(neg_dist_log_softmax_value(dec.distances))
             assert abs(probs.sum() - 1.0) < 1e-12
@@ -155,10 +153,9 @@ def test_path_log_prob_hand_product():
     # decision 1: distances (2, 1), take the child with p = 1/(1+e^-1) = 0.73106
     # decision 2: distances (1, 1), stay with p = 0.5
     tree = chain_tree()
-    tape = Tape()
-    pt = greedy_path(tape, tree, None, np.array([2.0]))
+    pt = greedy_path(tree, None, np.array([2.0]))
     assert pt.stop_mode == STOP_STAYED and pt.final == 1
-    lp = float(tape.value(path_log_prob(pt)))
+    lp = path_log_prob(pt)
     assert abs(lp - math.log(0.36553)) < 1e-4
 
 
@@ -170,8 +167,7 @@ def test_path_prob_matches_enumeration_oracle():
         tree = random_tree(rng, n_range=(2, 7), dim=2, class_count=2,
                            max_children=bound)
         q = rng.normal(size=2)
-        tape = Tape()
-        pt = greedy_path(tape, tree, None, q)
+        pt = greedy_path(tree, None, q)
         if not pt.decisions:
             continue
         children = [list(n.children) for n in tree.nodes]
@@ -181,19 +177,18 @@ def test_path_prob_matches_enumeration_oracle():
 
         table = dict(enumerate_traversals(children, tree.max_children, dist_of))
         assert abs(sum(table.values()) - 1.0) < 1e-12
-        got = math.exp(float(tape.value(path_log_prob(pt))))
+        got = math.exp(path_log_prob(pt))
         assert abs(got - table[tuple(soft_visited(pt))]) < 1e-12
         checked += 1
     assert checked >= 40
 
 
-# ---- class_log_prob ----------------------------------------------------------
+# ---- class_probs -------------------------------------------------------------
 
 def test_single_node_class_prob_is_one_hot():
     tree = new_tree(Sample([0.0], 1), class_count=3)
-    tape = Tape()
-    pt = greedy_path(tape, tree, None, np.array([5.0]))
-    probs = np.exp(class_log_prob(pt).values(tape))
+    pt = greedy_path(tree, None, np.array([5.0]))
+    probs = class_probs(pt)
     assert abs(probs[1] - 1.0) < 1e-15 and probs[0] < 1e-12 and probs[2] < 1e-12
 
 
@@ -204,10 +199,9 @@ def test_stayed_uniform_hand_example():
     tree = new_tree(Sample([0.0, 0.0], 0))
     tree.add_child(0, Sample([2.0, 0.0], 1))
     tree.add_child(0, Sample([0.0, 2.0], 1))
-    tape = Tape()
-    pt = greedy_path(tape, tree, None, np.array([1.0, 1.0]))
+    pt = greedy_path(tree, None, np.array([1.0, 1.0]))
     assert pt.stop_mode == STOP_STAYED
-    probs = np.exp(class_log_prob(pt).values(tape))
+    probs = class_probs(pt)
     assert abs(probs[0] - 1.0 / 3.0) < 1e-12
     assert abs(probs[1] - 2.0 / 3.0) < 1e-12
 
@@ -216,10 +210,9 @@ def test_leaf_stop_drops_decision_node_and_renormalizes():
     # distances: root 3, children 1 and 2; walk ends at the nearer child and
     # the class mass comes from the two label-1 children only
     tree = leaf_stop_tree()
-    tape = Tape()
-    pt = greedy_path(tape, tree, None, np.array([3.0]))
+    pt = greedy_path(tree, None, np.array([3.0]))
     assert pt.stop_mode == STOP_LEAF and pt.final == 1
-    probs = np.exp(class_log_prob(pt).values(tape))
+    probs = class_probs(pt)
     assert abs(probs[1] - 1.0) < 1e-12
     assert probs[0] < 1e-12
 
@@ -230,9 +223,8 @@ def test_class_probs_normalize_and_prefix_cancels():
         class_count = int(rng.integers(2, 5))
         tree = random_tree(rng, n_range=(3, 20), dim=3, class_count=class_count)
         q = rng.normal(size=3)
-        tape = Tape()
-        pt = greedy_path(tape, tree, None, q)
-        probs = np.exp(class_log_prob(pt).values(tape))
+        pt = greedy_path(tree, None, q)
+        probs = class_probs(pt)
         assert abs(probs.sum() - 1.0) < 1e-10
         if not pt.decisions:
             continue
@@ -255,35 +247,40 @@ def test_class_probs_normalize_and_prefix_cancels():
 def test_loss_zero_for_certain_correct_root():
     tree = new_tree(Sample([0.0], 1), class_count=2)
     tape = Tape()
-    pt = greedy_path(tape, tree, None, np.array([2.0]))
-    assert float(tape.value(loss(pt, 1))) == 0.0
+    pt = greedy_path(tree, None, np.array([2.0]))
+    ref, head = batch_loss(tape, [pt], [1])
+    assert float(tape.value(ref)) == 0.0 and head.misses == 0
+    # the wrong label on a one-node tree is a structural miss
+    _, wrong = batch_loss(Tape(), [pt], [0])
+    assert wrong.value == MISS_LOSS and wrong.misses == 1
 
 
 def test_loss_log2_at_even_odds():
     tree = new_tree(Sample([0.0], 0))
     tree.add_child(0, Sample([2.0], 1))
     tape = Tape()
-    pt = greedy_path(tape, tree, None, np.array([1.0]))  # tie: stay, p = 0.5 each
-    assert abs(float(tape.value(loss(pt, 0))) - math.log(2.0)) < 1e-12
+    pt = greedy_path(tree, None, np.array([1.0]))  # tie: stay, p = 0.5 each
+    ref, _ = batch_loss(tape, [pt], [0])
+    assert abs(float(tape.value(ref)) - math.log(2.0)) < 1e-12
 
 
 def test_loss_validates_label():
-    tape = Tape()
-    pt = greedy_path(tape, new_tree(Sample([0.0], 0)), None, np.array([1.0]))
-    with pytest.raises(ValueError):
-        loss(pt, 7)
+    pt = greedy_path(new_tree(Sample([0.0], 0)), None, np.array([1.0]))
+    for bad in (7, -1):
+        with pytest.raises(ValueError):
+            batch_loss(Tape(), [pt], [bad])
 
 
 def test_clamp_counter_fires_only_for_true_class():
+    # a clamp is a structural miss: the true class has no member in the
+    # aggregation set (here the two label-1 children of a leaf stop)
     tree = leaf_stop_tree()
+    pt = greedy_path(tree, None, np.array([3.0]))
+    assert batch_loss(Tape(), [pt], [1])[1].misses == 0
     tape = Tape()
-    pt = greedy_path(tape, tree, None, np.array([3.0]))
-    loss(pt, 1)
-    assert tape.clamp_events == 0  # true class has mass; the other is clamped
-    tape2 = Tape()
-    pt2 = greedy_path(tape2, tree, None, np.array([3.0]))
-    val = float(tape2.value(loss(pt2, 0)))
-    assert tape2.clamp_events == 1
+    ref, head = batch_loss(tape, [pt], [0])
+    val = float(tape.value(ref))
+    assert head.misses == 1
     assert val > 60.0  # -log(1e-30) scale, large but finite
 
 
@@ -309,12 +306,12 @@ def test_loss_and_grad_matches_manual_pipeline():
     value, grads, clamps = loss_and_grad(tree, params, sample)
 
     tape = Tape()
-    pt = greedy_path(tape, tree, params, sample.features)
-    ref = loss(pt, sample.label)
+    pt = greedy_path(tree, params, sample.features)
+    ref, head = batch_loss(tape, [pt], [sample.label])
     grad_map = tape.backward(ref)
     manual = collect_param_grads(tape, params, grad_map)
     assert value == float(tape.value(ref))
-    assert clamps == tape.clamp_events
+    assert clamps == head.misses
     for a, b in zip(grads.weights + grads.biases, manual.weights + manual.biases):
         assert np.array_equal(a, b)
 
@@ -379,9 +376,8 @@ def test_batch_loss_gradient_matches_fd():
         def build_loss(tape, refs):
             bound = bind_as_leaves(tape, params.arch, refs[:n_w],
                                    list(refs[n_w:]) + [tape.leaf(last_bias)])
-            traces = [greedy_path(tape, tree, bound, s.features) for s in batch]
-            embed_paths(traces)
-            return tape.sum_scalars([loss(t, s.label) for t, s in zip(traces, batch)])
+            traces = [greedy_path(tree, bound, s.features) for s in batch]
+            return batch_loss(tape, traces, [s.label for s in batch])[0]
 
         assert grad_check(build_loss, arrays, step=1e-5) < 1e-4
         checked += 1
@@ -393,8 +389,9 @@ def test_embed_paths_block_is_queries_then_candidate_union():
         for _ in range(4):
             tree, params, batch = _batch_case(rng, k)
             tape = Tape()
-            traces = [greedy_path(tape, tree, params, s.features) for s in batch]
-            block = tape.value(embed_paths(traces))
+            traces = [greedy_path(tree, params, s.features) for s in batch]
+            ref, cand_rows = embed_paths(tape, traces)
+            block = tape.value(ref)
             union = []
             for t in traces:
                 if t.decisions:
@@ -402,21 +399,24 @@ def test_embed_paths_block_is_queries_then_candidate_union():
             rows = [s.features for s in batch] + [tree.nodes[c].sample.features for c in union]
             assert block.shape == (k + len(union), params.arch.out_dim)
             assert block.tobytes() == embed(params, np.array(rows)).tobytes()
-            for i, t in enumerate(traces):
-                assert tape.value(t.query_ref).tobytes() == block[i].tobytes()
+            for t, r in zip(traces, cand_rows):
                 if t.decisions:
-                    cands = t.decisions[-1].candidates
-                    want = block[[k + union.index(c) for c in cands]]
-                    assert tape.value(t.candidates_ref).tobytes() == want.tobytes()
+                    assert r == [k + union.index(c) for c in t.decisions[-1].candidates]
                 else:
-                    assert t.candidates_ref is None
+                    assert r == []
 
 
-def test_embed_paths_rejects_traces_of_different_tapes():
+def test_embed_paths_rejects_traces_of_different_trees():
     tree, params, batch = _batch_case(np.random.default_rng(214), 2)
-    traces = [greedy_path(Tape(), tree, params, s.features) for s in batch]
+    other = copy.deepcopy(tree)
+    traces = [greedy_path(tree, params, batch[0].features),
+              greedy_path(other, params, batch[1].features)]
     with pytest.raises(ValueError):
-        embed_paths(traces)
+        embed_paths(Tape(), traces)
+    # nor of different parameter sets
+    traces[1] = greedy_path(tree, copy.deepcopy(params), batch[1].features)
+    with pytest.raises(ValueError):
+        embed_paths(Tape(), traces)
 
 
 def test_batch_step_embeds_no_tree_row(monkeypatch):
@@ -434,6 +434,148 @@ def test_batch_step_embeds_no_tree_row(monkeypatch):
     monkeypatch.setattr(transform, "embed", counting)
     loss_and_grad(tree, params, batch)
     assert calls == [(6, 3)]
+
+
+def test_batch_step_tape_is_the_mlp_chain_and_one_head():
+    # parameter leaves, the raw-feature constant, matmul_add and activation
+    # per layer, then the head: 4L + 1 nodes whatever the batch size
+    rng = np.random.default_rng(216)
+    params = init_params(MlpArchitecture((3, 7, 5, 4)), 217)
+    tree = random_tree(rng, n_range=(5, 20), dim=3, class_count=3, embedder=make_embedder(params))
+    sizes = []
+    real = Tape.backward
+
+    def counting(tape, ref):
+        sizes.append(len(tape))
+        return real(tape, ref)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Tape, "backward", counting)
+        for k in (1, 10, 200):
+            loss_and_grad(tree, params, random_samples(rng, k, 3, 3))
+    assert sizes == [4 * params.arch.n_layers + 1] * 3
+
+
+# ---- structural misses -----------------------------------------------------------
+
+def _aggregated_labels(tree, hard):
+    """Labels of the aggregation set, read off a hard traversal."""
+    if not hard.steps:
+        return {tree.nodes[hard.final].label}
+    last = hard.steps[-1]
+    kept = [c for c in last.candidates if hard.stop_mode == STOP_STAYED or c != last.node]
+    return {tree.nodes[c].label for c in kept}
+
+
+@pytest.mark.parametrize("use_mlp", [False, True])
+def test_clamps_are_exactly_structural_misses(use_mlp):
+    rng = np.random.default_rng(218 + use_mlp)
+    seen_modes, total_misses, total = set(), 0, 0
+    for case in range(60):
+        class_count = int(rng.integers(2, 5))
+        if use_mlp:
+            params = init_params(MlpArchitecture((3, 6, 2)), int(rng.integers(1 << 31)))
+            emb = make_embedder(params)
+        else:
+            params, emb = None, IDENT
+        tree = random_tree(rng, n_range=(1, 25), dim=3, class_count=class_count,
+                           embedder=emb, max_children=(None, 2, 3)[case % 3])
+        batch = random_samples(rng, 12, 3, class_count)
+        want = 0
+        for s in batch:
+            hard = traverse(tree, emb, s.features)
+            seen_modes.add(hard.stop_mode)
+            want += s.label not in _aggregated_labels(tree, hard)
+        if use_mlp:
+            _, _, clamps = loss_and_grad(tree, params, batch)
+        else:
+            traces = [greedy_path(tree, None, s.features) for s in batch]
+            clamps = batch_loss(Tape(), traces, [s.label for s in batch])[1].misses
+        assert clamps == want
+        total_misses += want
+        total += len(batch)
+    assert seen_modes == {STOP_LEAF, STOP_STAYED} and 0 < total_misses < total
+
+
+def _miss_case(rng, stop_mode):
+    """(tree, tanh params, query) whose walk ends with `stop_mode` and whose
+    true class is absent from the aggregation set; every decision's
+    distances are more than 1e-2 apart, and after a leaf stop the decision
+    node holds 5-95% of the softmax mass, so the miss has a gradient."""
+    while True:
+        params = init_params(MlpArchitecture((3, 6, 3), "tanh"), int(rng.integers(1 << 31)))
+        tree = build_tree(random_samples(rng, 12, 3, 3), make_embedder(params), None, 3)
+        q = rng.normal(size=3)
+        pt = greedy_path(tree, params, q)
+        if not pt.decisions or pt.stop_mode != stop_mode:
+            continue
+        if any(np.any(np.diff(np.sort(d.distances)) < 1e-2) for d in pt.decisions):
+            continue
+        absent = set(range(3)) - _aggregated_labels(tree, traverse(tree, make_embedder(params), q))
+        if not absent:
+            continue
+        last = pt.decisions[-1]
+        node_mass = softmax_neg(last.distances)[last.candidates.index(last.node)]
+        if stop_mode == STOP_LEAF and not 0.05 < node_mass < 0.95:
+            continue
+        return tree, params, Sample(q, min(absent))
+
+
+def test_leaf_stop_miss_gradient_matches_fd():
+    # a leaf-stop miss is MISS_LOSS plus the log of the aggregated share of
+    # the candidate softmax: its gradient pushes mass back to the decision node
+    rng = np.random.default_rng(220)
+    for _ in range(4):
+        tree, params, query = _miss_case(rng, STOP_LEAF)
+        value, grads, clamps = loss_and_grad(tree, params, query)
+        assert clamps == 1 and MISS_LOSS - 5.0 < value < MISS_LOSS
+        assert np.max(np.abs(grads.flat)) > 1e-3
+        n_w = len(params.weights)
+        last_bias = params.biases[-1].copy()
+        arrays = [w.copy() for w in params.weights] + [b.copy() for b in params.biases[:-1]]
+
+        def build_loss(tape, refs):
+            bound = bind_as_leaves(tape, params.arch, refs[:n_w],
+                                   list(refs[n_w:]) + [tape.leaf(last_bias)])
+            return batch_loss(tape, [greedy_path(tree, bound, query.features)], [query.label])[0]
+
+        assert grad_check(build_loss, arrays, step=1e-5) < 1e-4
+
+
+def test_stayed_stop_miss_has_no_gradient():
+    # a stayed stop aggregates the whole candidate set, whose mass is 1: the
+    # miss is the constant MISS_LOSS and its gradient is zero
+    rng = np.random.default_rng(221)
+    for _ in range(4):
+        tree, params, query = _miss_case(rng, STOP_STAYED)
+        value, grads, clamps = loss_and_grad(tree, params, query)
+        assert clamps == 1 and value == MISS_LOSS
+        assert np.max(np.abs(grads.flat)) <= 1e-12
+
+
+def test_present_true_class_below_the_floor_gets_the_exact_log_ratio():
+    # the true class (node 1, label 1) is aggregated but 101 distance units
+    # further than the root: its mass e^-101 / (1 + e^-101) is far below
+    # LOG_FLOOR, yet it is no miss, and the loss is the exact logsumexp
+    # difference, larger than MISS_LOSS
+    tree = new_tree(Sample([0.0], 0))
+    tree.add_child(0, Sample([101.0], 1))
+    pt = greedy_path(tree, None, np.array([-1.0]))
+    assert pt.stop_mode == STOP_STAYED and list(pt.decisions[-1].distances) == [1.0, 102.0]
+    head = batch_loss(Tape(), [pt], [1])[1]
+    want = np.logaddexp(-1.0, -102.0) - (-102.0)
+    assert head.misses == 0
+    assert abs(head.value - want) <= 1e-12 * want and head.value > MISS_LOSS
+    assert abs(head.value - (101.0 + math.log1p(math.exp(-101.0)))) <= 1e-12 * want
+
+    tape = Tape()
+    ref, rows = embed_paths(tape, [pt])
+
+    def build_loss(t, refs):
+        h = loss_head(t.value(refs[0]), rows, [pt], [1])
+        return t.push(h.value, (refs[0],), lambda g: (g * h.grad,))
+
+    assert grad_check(build_loss, [tape.value(ref)], step=1e-5) < 1e-6
 
 
 # ---- predict_soft vs predict_hard ---------------------------------------------

@@ -1,15 +1,15 @@
-"""Tape engine: forward values, vjps against central differences, clamps,
-shape validation, and the backward sweep."""
+"""Tape engine: forward values, vjps against central differences, shape
+validation and the backward sweep; the distance and log-softmax kernels,
+and the loss head's distance gradient."""
 
 import math
 
 import numpy as np
 import pytest
 
+from betree import Sample, embed_paths, greedy_path, loss_head, new_tree
 from betree.tape import (
     DISTANCE_EPS,
-    LOG_FLOOR,
-    LOG_FLOOR_VALUE,
     ShapeError,
     Tape,
     affine,
@@ -135,19 +135,6 @@ def test_matmul_add_block_gradients_match_fd():
         assert np.allclose(grads[ref], fd_gradient(f, arr), atol=1e-7)
 
 
-def test_take_rows_value_and_gradient():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(4, 3))
-    tape = Tape()
-    rx = tape.leaf(x)
-    first, rest = tape.take(rx, 0), tape.take(rx, slice(1, None))
-    assert np.array_equal(tape.value(first), x[0]) and np.array_equal(tape.value(rest), x[1:])
-    grads = tape.backward(tape_sum(tape, [first, rest], [2.0, -1.0]))
-    assert np.array_equal(grads[rx], np.array([[2.0] * 3] + [[-1.0] * 3] * 3))
-    with pytest.raises(ShapeError):
-        tape.take(tape.leaf(np.ones(3)), 0)
-
-
 def test_matmul_add_constant_input_gets_no_gradient():
     # the first layer's input is the raw-feature block, a constant: its
     # input gradient is never formed, and the weight and bias gradients are
@@ -170,28 +157,6 @@ def test_matmul_add_constant_input_gets_no_gradient():
     _, _, want = run(True)
     assert tape.grads[rx] is None and rx not in tape.leaf_refs
     assert all(g.tobytes() == h.tobytes() for g, h in zip(got, want))
-
-
-def test_take_row_list_values_gradient_and_validation():
-    rng = np.random.default_rng(13)
-    x = rng.normal(size=(6, 3))
-    order, run = [4, 0, 5], [2, 3, 4]
-    tape = Tape()
-    rx = tape.leaf(x)
-    picked, ran = tape.take(rx, order), tape.take(rx, run)
-    assert np.array_equal(tape.value(picked), x[order])
-    assert np.array_equal(tape.value(ran), x[2:5])
-    grads = tape.backward(tape_sum(tape, [tape.tanh(picked), ran], [1.0, 3.0]))
-
-    def f(a):
-        t = Tape()
-        ra = t.leaf(a)
-        return float(t.value(tape_sum(t, [t.tanh(t.take(ra, order)), t.take(ra, run)], [1.0, 3.0])))
-
-    assert np.allclose(grads[rx], fd_gradient(f, x), atol=1e-7)
-    for bad in ([1, 3, 1], [6], [-1]):
-        with pytest.raises(ShapeError, match="take"):
-            tape.take(rx, bad)
 
 
 @pytest.mark.parametrize("op,ref_fn", [
@@ -228,46 +193,66 @@ def test_relu_subgradient_at_zero_is_zero():
     assert np.array_equal(grads[ref], [0.0, 0.0, 1.0])
 
 
+# The tape has no distance op: the soft path's loss head computes its
+# distances with l2_value and carries their gradient, through (q - c) / d,
+# in closed form. These tests read the head off a block, with the traces
+# fixed, so central differences see the distances alone move.
+
+def _head_case(points, labels, query):
+    """Identity tree over `points`: the root, then every other point as a
+    child of the root (whose label no child shares). Returns the query's trace, its embed_paths block
+    and rows."""
+    tree = new_tree(Sample(points[0], labels[0]), class_count=max(labels) + 1)
+    for p, y in zip(points[1:], labels[1:]):
+        tree.add_child(0, Sample(p, y))
+    pt = greedy_path(tree, None, query)
+    tape = Tape()
+    ref, rows = embed_paths(tape, [pt])
+    return pt, tape.value(ref), rows
+
+
+def _head_value(pt, rows, label):
+    return lambda block: float(loss_head(block, rows, [pt], [label]).value)
+
+
 def test_l2_distance_value_matches_norm():
     rng = np.random.default_rng(3)
-    a, b = rng.normal(size=6), rng.normal(size=6)
-    tape = Tape()
-    d = tape.l2_distance(tape.leaf(a), tape.leaf(b))
-    assert math.isclose(float(tape.value(d)), float(np.linalg.norm(a - b)), rel_tol=1e-12)
-    assert float(tape.value(d)) == float(l2_value(a, b))
+    a, b = rng.normal(size=6), rng.normal(size=(3, 6))
+    assert math.isclose(float(l2_value(a, b[0])), float(np.linalg.norm(a - b[0])), rel_tol=1e-12)
+    assert np.allclose(l2_value(a, b), np.linalg.norm(a - b, axis=1), rtol=1e-12)
+    # the head's distances are the kernel's
+    pt, block, rows = _head_case(rng.normal(size=(4, 6)), [0, 1, 2, 1], a)
+    head = loss_head(block, rows, [pt], [pt.tree.nodes[pt.final].label])
+    assert np.array_equal(head.distances[0], l2_value(a, block[rows[0]]))
 
 
 def test_l2_distance_gradients_match_fd():
     rng = np.random.default_rng(4)
-    a, b = rng.normal(size=4), rng.normal(size=4)
-
-    def f_a(a_):
-        tape = Tape()
-        return float(tape.value(tape.l2_distance(tape.leaf(a_), tape.leaf(b))))
-
-    tape = Tape()
-    ra, rb = tape.leaf(a), tape.leaf(b)
-    grads = tape.backward(tape.l2_distance(ra, rb))
-    assert np.allclose(grads[ra], fd_gradient(f_a, a), atol=1e-7)
-    assert np.allclose(grads[rb], -grads[ra])
+    for trial in range(6):
+        pt, block, rows = _head_case(rng.normal(size=(5, 4)), [0, 1, 2, 1, 2], rng.normal(size=4))
+        label = pt.tree.nodes[pt.final].label  # the final node is aggregated: no miss
+        head = loss_head(block, rows, [pt], [label])
+        assert head.misses == 0
+        assert np.allclose(head.grad, fd_gradient(_head_value(pt, rows, label), block), atol=1e-7)
 
 
 def test_l2_distance_zero_guard():
+    # the query sits on the root and stays there: that distance is 0, its
+    # subgradient is zero, and the child's pair alone moves the query row
     v = np.array([1.0, 2.0])
-    tape = Tape()
-    ra, rb = tape.leaf(v), tape.leaf(v.copy())
-    d = tape.l2_distance(ra, rb)
-    assert float(tape.value(d)) < DISTANCE_EPS
-    grads = tape.backward(d)
-    assert np.array_equal(grads[ra], np.zeros(2))
-    assert np.all(np.isfinite(grads[rb]))
+    pt, block, rows = _head_case(np.array([v, [3.0, 0.0]]), [0, 1], v.copy())
+    head = loss_head(block, rows, [pt], [0])
+    assert head.distances[0][0] < DISTANCE_EPS
+    assert np.array_equal(head.grad[rows[0][0]], np.zeros(2))
+    assert np.all(np.isfinite(head.grad)) and np.any(head.grad[0] != 0.0)
 
 
 @pytest.mark.parametrize("dim", [2, 784])
 def test_l2_rows_bitwise_equal_per_row_and_tape(dim):
     # Traversal gathers candidate rows out of a larger matrix and takes all
-    # their distances in one call; each must equal the rank-1 kernel, a
-    # plain per-row sum, and the tape op on the same pair, to the bit.
+    # their distances in one call; each must equal the rank-1 kernel and a
+    # plain per-row sum to the bit. The loss head calls the same kernel
+    # over the block rows.
     rng = np.random.default_rng(40 + dim)
     matrix = rng.normal(size=(64, dim)) * 10.0 ** rng.integers(-3, 4, size=(64, 1))
     for k in range(1, 41):
@@ -275,167 +260,46 @@ def test_l2_rows_bitwise_equal_per_row_and_tape(dim):
         y = rng.normal(size=dim)
         rows = l2_value(y, matrix[ids])
         assert rows.shape == (k,)
-        tape = Tape()
-        y_ref = tape.constant(y)
         for j, i in enumerate(ids):
             diff = y - matrix[i]
             plain = np.sqrt(np.sum(diff * diff))
-            via_tape = tape.value(tape.l2_distance(y_ref, tape.constant(matrix[i])))
-            assert rows[j] == plain == l2_value(y, matrix[i]) == via_tape
+            assert rows[j] == plain == l2_value(y, matrix[i])
 
 
 def test_l2_distance_row_block_values_and_gradients_match_fd():
-    # One distance per row, each the rank-1 kernel's. Row 2 sits exactly on
-    # the query: its subgradient is zero, which is also what central
-    # differences of a norm at zero give.
+    # One distance per candidate row, each the rank-1 kernel's. The query
+    # sits exactly on candidate 2 (a leaf): its subgradient is zero, which
+    # is also what central differences of a norm at zero give.
     rng = np.random.default_rng(12)
-    a = rng.normal(size=4)
-    b = rng.normal(size=(5, 4))
-    b[2] = a
-
-    def run(a_, b_):
-        tape = Tape()
-        ra, rb = tape.leaf(a_), tape.leaf(b_)
-        d = tape.l2_distance(ra, rb)
-        return tape, ra, rb, d, tape_sum(tape, [tape.tanh(d)])
-
-    tape, ra, rb, d, out = run(a, b)
-    dv = tape.value(d)
-    assert dv.shape == (5,) and dv[2] == 0.0
-    assert all(dv[i] == l2_value(a, b[i]) for i in range(5))
-    grads = tape.backward(out)
-    assert np.array_equal(grads[rb][2], np.zeros(4))
-
-    def total(a_, b_):
-        t, *_, o = run(a_, b_)
-        return float(t.value(o))
-
-    assert np.allclose(grads[ra], fd_gradient(lambda a_: total(a_, b), a), atol=1e-7)
-    assert np.allclose(grads[rb], fd_gradient(lambda b_: total(a, b_), b), atol=1e-7)
-
-
-def test_l2_distance_shape_errors():
-    tape = Tape()
-    with pytest.raises(ShapeError):
-        tape.l2_distance(tape.leaf(np.ones(2)), tape.leaf(np.ones(3)))
-    with pytest.raises(ShapeError):
-        tape.l2_distance(tape.leaf(np.ones((2, 2))), tape.leaf(np.ones((2, 2))))
-    with pytest.raises(ShapeError):
-        tape.l2_distance(tape.leaf(np.ones(2)), tape.leaf(np.ones((4, 3))))
+    points = rng.normal(size=(5, 4))
+    pt, block, rows = _head_case(points, [2, 1, 0, 1, 1], points[2].copy())
+    assert pt.final == 2
+    head = loss_head(block, rows, [pt], [0])
+    d = head.distances[0]
+    assert d.shape == (5,) and d[2] == 0.0
+    assert all(d[j] == l2_value(block[0], block[r]) for j, r in enumerate(rows[0]))
+    assert np.array_equal(head.grad[rows[0][2]], np.zeros(4))
+    assert np.allclose(head.grad, fd_gradient(_head_value(pt, rows, 0), block), atol=1e-7)
 
 
 def test_log_softmax_values_match_oracle_and_normalize():
     rng = np.random.default_rng(5)
     for _ in range(20):
         dists = rng.uniform(0.1, 10.0, size=int(rng.integers(1, 8)))
-        tape = Tape()
-        out = tape.neg_dist_log_softmax(tape.leaf(dists))
-        logps = np.array([float(tape.value(r)) for r in out])
+        logps = neg_dist_log_softmax_value(dists)
         assert abs(np.exp(logps).sum() - 1.0) < 1e-12
         assert np.allclose(np.exp(logps), softmax_neg(dists), atol=1e-12)
-        # the tape op and plain path probabilities share one kernel
-        assert np.array_equal(logps, neg_dist_log_softmax_value(dists))
 
 
 def test_log_softmax_shift_invariance():
     dists = np.array([0.5, 1.5, 3.0])
-    base = softmax_neg(dists)
-    tape = Tape()
-    out = tape.neg_dist_log_softmax(tape.leaf(dists + 100.0))
-    shifted = np.exp([float(tape.value(r)) for r in out])
-    assert np.allclose(shifted, base, atol=1e-10)
-
-
-def test_log_softmax_gradients_match_fd():
-    rng = np.random.default_rng(6)
-    dists = rng.uniform(0.5, 3.0, size=4)
-    weights = rng.normal(size=4)  # random combination to touch every output
-
-    def f(ds):
-        tape = Tape()
-        out = tape.neg_dist_log_softmax(tape.leaf(ds))
-        return float(tape.value(tape_sum(tape, out, weights)))
-
-    tape = Tape()
-    ref = tape.leaf(dists)
-    out = tape.neg_dist_log_softmax(ref)
-    grads = tape.backward(tape_sum(tape, out, weights))
-    analytic = grads[ref]
-    assert np.allclose(analytic, fd_gradient(f, dists), atol=1e-7)
+    shifted = np.exp(neg_dist_log_softmax_value(dists + 100.0))
+    assert np.allclose(shifted, softmax_neg(dists), atol=1e-10)
 
 
 def test_log_softmax_rejects_empty():
     with pytest.raises(ValueError):
-        tape = Tape()
-        tape.neg_dist_log_softmax(tape.leaf(np.zeros(0)))
-
-
-def test_scalar_ops_values_and_gradients():
-    rng = np.random.default_rng(7)
-    x, y = 1.3, -0.4
-
-    def build(tape, rx, ry):
-        # exp(x - y) - (-x)
-        return tape.sub(tape.exp(tape.sub(rx, ry)), tape.neg(rx))
-
-    tape = Tape()
-    rx, ry = tape.leaf(x), tape.leaf(y)
-    out = build(tape, rx, ry)
-    expected = math.exp(x - y) + x
-    assert math.isclose(float(tape.value(out)), expected, rel_tol=1e-12)
-    grads = tape.backward(out)
-
-    def f(arr):
-        t = Tape()
-        return float(t.value(build(t, t.leaf(arr[0]), t.leaf(arr[1]))))
-
-    fd = fd_gradient(f, np.array([x, y]))
-    assert np.allclose([float(grads[rx]), float(grads[ry])], fd, atol=1e-8)
-
-
-def test_binary_op_shape_mismatch():
-    tape = Tape()
-    a, b = tape.leaf(np.ones(2)), tape.leaf(np.ones(3))
-    with pytest.raises(ShapeError):
-        tape.sub(a, b)
-
-
-def test_log_clamps_below_floor():
-    tape = Tape()
-    ref = tape.leaf(0.0)
-    out = tape.log(ref)
-    assert float(tape.value(out)) == LOG_FLOOR_VALUE
-    assert tape.nodes[out].clamped
-    grads = tape.backward(out)
-    assert float(grads[ref]) == 0.0
-
-
-def test_log_above_floor_is_exact_with_gradient():
-    tape = Tape()
-    ref = tape.leaf(2.5)
-    out = tape.log(ref)
-    assert math.isclose(float(tape.value(out)), math.log(2.5), rel_tol=1e-15)
-    assert not tape.nodes[out].clamped
-    grads = tape.backward(out)
-    assert math.isclose(float(grads[ref]), 1 / 2.5, rel_tol=1e-12)
-    assert LOG_FLOOR == 1e-30
-
-
-def test_sum_scalars_empty_and_singleton():
-    tape = Tape()
-    zero = tape.sum_scalars([])
-    assert float(tape.value(zero)) == 0.0
-    ref = tape.leaf(4.0)
-    assert tape.sum_scalars([ref]) == ref
-
-
-def test_sum_scalars_accumulates_and_distributes_gradient():
-    tape = Tape()
-    refs = [tape.leaf(v) for v in (1.0, 2.0, 3.5)]
-    out = tape.sum_scalars(refs)
-    assert float(tape.value(out)) == 6.5
-    grads = tape.backward(out)
-    assert all(float(grads[r]) == 1.0 for r in refs)
+        neg_dist_log_softmax_value(np.zeros(0))
 
 
 def test_backward_requires_scalar_loss():
@@ -448,8 +312,7 @@ def test_backward_requires_scalar_loss():
 def test_backward_accumulates_across_reuse():
     tape = Tape()
     ref = tape.leaf(2.0)
-    out = tape.sub(tape.sum_scalars([ref, ref, ref]),
-                   tape.neg(tape.sum_scalars([ref, ref])))  # 3x + 2x -> grad 5
+    out = tape_sum(tape, [ref, ref, ref, tape_sum(tape, [ref, ref])])  # 3x + 2x -> grad 5
     grads = tape.backward(out)
     assert float(grads[ref]) == 5.0
 
@@ -477,7 +340,7 @@ def test_grad_check_rejects_bad_step_and_nonfinite_loss():
         grad_check(lambda t, r: r[0], [np.array(1.0)], step=0.0)
 
     def exploding(tape, refs):
-        return tape.exp(tape_sum(tape, refs, [1e6]))
+        return tape_sum(tape, refs, [math.inf])
 
-    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError):
         grad_check(exploding, [np.array(1.0)])

@@ -113,16 +113,15 @@ def test_block_forward_gradient_matches_per_row_forwards():
     rng = np.random.default_rng(31)
     params = init_params(MlpArchitecture((3, 6, 4, 2), "tanh"), 32)
     block = rng.normal(size=(5, 3))
-    centre = rng.normal(size=2)
+
+    # a tanh readout, so every output entry gets its own upstream gradient
+    tape = Tape()
+    out = tape_sum(tape, [tape.tanh(forward(tape, params, block))])
+    got = collect_param_grads(tape, params, tape.backward(out))
 
     tape = Tape()
-    dists = tape.l2_distance(tape.constant(centre), forward(tape, params, block))
-    got = collect_param_grads(tape, params, tape.backward(tape_sum(tape, [dists])))
-
-    tape = Tape()
-    c = tape.constant(centre)
-    dists = [tape.l2_distance(c, forward(tape, params, x)) for x in block]
-    want = collect_param_grads(tape, params, tape.backward(tape_sum(tape, dists)))
+    out = tape_sum(tape, [tape.tanh(forward(tape, params, x)) for x in block])
+    want = collect_param_grads(tape, params, tape.backward(out))
     assert np.allclose(got.flat, want.flat, rtol=1e-12, atol=1e-14)
     assert not np.array_equal(got.flat, np.zeros_like(got.flat))
 
@@ -251,23 +250,25 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 
 
 def test_checkpoint_is_header_then_parameter_vector(tmp_path):
-    # bytes assembled here, independently of save_checkpoint: the v1 layout
-    params = init_params(MlpArchitecture((4, 6, 3)), 24)
+    # bytes assembled here, independently of save_checkpoint: the v2 layout
+    # names the activation; v1 bytes (no activation line) load as relu
+    params = init_params(MlpArchitecture((4, 6, 3), "tanh"), 24)
     params.biases[0][:] = np.arange(6) - 2.5
-    header = b"BETREE-CKPT v1\n6 4\n3 6\n"
-    expected = header + b"".join(
+    payload = b"".join(
         w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
         for w, b in zip(params.weights, params.biases))
     path = tmp_path / "net.ckpt"
     save_checkpoint(params, path)
-    assert path.read_bytes() == expected
+    assert path.read_bytes() == b"BETREE-CKPT v2\nactivation tanh\n6 4\n3 6\n" + payload
+    assert load_checkpoint(path).arch == params.arch
 
     rng = np.random.default_rng(25)
     layers = [(rng.normal(size=(6, 4)), rng.normal(size=6)), (rng.normal(size=(3, 6)), rng.normal(size=3))]
     assembled = tmp_path / "assembled.ckpt"
-    assembled.write_bytes(header + b"".join(
+    assembled.write_bytes(b"BETREE-CKPT v1\n6 4\n3 6\n" + b"".join(
         w.astype("<f8").tobytes() + b.astype("<f8").tobytes() for w, b in layers))
     loaded = load_checkpoint(assembled)
+    assert loaded.arch == MlpArchitecture((4, 6, 3), "relu")
     flat = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
     assert loaded.flat.tobytes() == flat.tobytes()
     loaded.flat[0] = 1.0  # writable, not a view of the file buffer
@@ -305,8 +306,16 @@ def test_checkpoint_preserves_ambiguous_looking_layers(tmp_path):
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"BETREE-CKPT v2\n2 2\n" + b"\x00" * 48)
+    path.write_bytes(b"BETREE-CKPT v3\n2 2\n" + b"\x00" * 48)
     with pytest.raises(CheckpointFormatError, match="magic"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("line", [b"activation sigmoid", b"activation", b"2 2", b"activation relu "])
+def test_checkpoint_rejects_unknown_activation(tmp_path, line):
+    path = tmp_path / "act.ckpt"
+    path.write_bytes(b"BETREE-CKPT v2\n" + line + b"\n2 2\n" + b"\x00" * 48)
+    with pytest.raises(CheckpointFormatError, match="activation"):
         load_checkpoint(path)
 
 
