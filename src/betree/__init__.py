@@ -26,6 +26,7 @@ from .boundary_tree import (
     predict_hard,
     save_tree,
     traverse,
+    walk_block,
 )
 from .data import (
     DataFormatError,

@@ -189,8 +189,19 @@ def candidate_ids(tree: BoundaryTree, node_id: int) -> list[int]:
     return [node_id, *node.children]
 
 
+def _check_queries(tree: BoundaryTree, y, ranks, name: str) -> np.ndarray:
+    """`y` as float64, or a ValueError unless it has one of `ranks` and rows
+    of the tree's feature width."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim not in ranks or y.shape[-1] != tree.feature_dim:
+        want = " or ".join(("(d,)", "(k, d)")[r - 1] for r in ranks)
+        raise ValueError(f"{name}: query shape {y.shape} does not match the tree's feature "
+                         f"width d = {tree.feature_dim}; expected {want}")
+    return y
+
+
 def traverse(tree: BoundaryTree, embed, y, y_emb=None) -> Trace:
-    """Greedy root-to-final descent for a raw query vector `y`.
+    """Greedy root-to-final descent for one raw query vector `y`.
 
     `y_emb` is the query's embedding under `embed` when the caller already
     has it; otherwise traverse computes embed(y). At each node with
@@ -199,7 +210,9 @@ def traverse(tree: BoundaryTree, embed, y, y_emb=None) -> Trace:
     so the first minimum wins). Stops when the argmin is the current node or
     a childless node is reached. Each decision's distances come from one
     l2_value call over the candidate rows of the tree's embedding matrix.
+    walk_block takes the same descent for a block of queries.
     """
+    y = _check_queries(tree, y, (1,), "traverse")
     if y_emb is None:
         y_emb = embed(y)
     y_emb = np.asarray(y_emb, dtype=np.float64)
@@ -218,13 +231,77 @@ def traverse(tree: BoundaryTree, embed, y, y_emb=None) -> Trace:
         current = nxt
 
 
+# The block walk measures distances in row chunks sized so that each of its
+# arrays of query rows, differences and distances holds about this many
+# floats, whatever the block size.
+CHUNK_FLOATS = 1 << 16
+
+
+def walk_block(tree: BoundaryTree, embed, y) -> np.ndarray:
+    """Final node id of each row of a raw query block `y` (rank 2): the
+    descent of `traverse`, taken for the whole block at once.
+
+    The block is embedded by one embed call and the tree's rows are filled
+    once. Queries are grouped by their current node, level by level, and a
+    group takes its decision as one array step: a (candidates x rows)
+    distance matrix, then the first minimum down each query's column. Every
+    distance is l2_value's arithmetic on the same elements in the same
+    order, so each final equals traverse(...).final bitwise, ties included.
+    """
+    y = _check_queries(tree, y, (2,), "walk_block")
+    finals = np.full(len(y), tree.root, dtype=np.intp)
+    if not len(y):
+        return finals
+    q = np.asarray(embed(y), dtype=np.float64)
+    fill_embeddings(tree, embed, range(len(tree)))
+    width = q.shape[1]
+    scratch = np.empty((2, min(len(y), max(1, CHUNK_FLOATS // max(width, 1))), width))
+    groups = [(tree.root, np.arange(len(y)))]
+    for node, rows in groups:  # appended groups are the next level down
+        finals[rows] = node
+        if not tree.nodes[node].children:
+            continue
+        cands = candidate_ids(tree, node)
+        choice = _nearest(q, rows, tree.emb, cands, scratch)
+        # bincount, not np.unique: the latter imports numpy.ma on first use
+        for j in np.bincount(choice, minlength=len(cands)).nonzero()[0]:
+            if cands[j] != node:
+                groups.append((cands[j], rows[choice == j]))
+    return finals
+
+
+def _nearest(q, rows, emb, cands, scratch) -> np.ndarray:
+    """Index into `cands` of the nearest candidate row of `emb` for each
+    query row `q[rows]`, first minimum on ties. Rows go in chunks through
+    the two (rows x width) buffers of `scratch`: the gathered queries and
+    their differences to one candidate."""
+    k, width = len(cands), q.shape[1]
+    step = max(1, CHUNK_FLOATS // max(width, k))
+    choice = np.empty(len(rows), dtype=np.intp)
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo:lo + step]
+        m = len(chunk)
+        # clip, not the default raise: take then writes `out` directly
+        block = np.take(q, chunk, axis=0, out=scratch[0, :m], mode="clip")
+        diff = scratch[1, :m]
+        dist = np.empty((k, m))
+        for j, c in enumerate(cands):
+            np.subtract(block, emb[c], out=diff)
+            np.multiply(diff, diff, out=diff)
+            diff.sum(axis=1, out=dist[j])
+        np.sqrt(dist, out=dist)
+        choice[lo:lo + m] = dist.argmin(axis=0)
+    return choice
+
+
 def predict_hard(tree: BoundaryTree, embed, y):
-    """Label of the node where traversal stops; for a rank-2 block of
-    queries, embedded as one block, one label per row."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 1:
-        return tree.nodes[traverse(tree, embed, y).final].label
-    return [tree.nodes[traverse(tree, embed, q, e).final].label for q, e in zip(y, embed(y))]
+    """Label of the node where the greedy descent stops for a raw query
+    vector; for a rank-2 block of queries, one label per row (an empty list
+    for no rows). Both go through walk_block, so every label is the one
+    traverse's final node carries."""
+    y = _check_queries(tree, y, (1, 2), "predict_hard")
+    labels = [tree.nodes[i].label for i in walk_block(tree, embed, np.atleast_2d(y)).tolist()]
+    return labels[0] if y.ndim == 1 else labels
 
 
 def insert_if_wrong(tree: BoundaryTree, embed, query: Sample, y_emb=None) -> bool:

@@ -129,8 +129,9 @@ def converged(log: TrainLog, threshold: float) -> bool:
 
 
 def hard_error(tree: BoundaryTree, embedder, samples) -> float:
-    """Fraction of samples the tree misclassifies (0.0 for no samples); the
-    queries are embedded as one row block."""
+    """Fraction of samples the tree misclassifies (0.0 for no samples). The
+    samples go through predict_hard as one block: embedded by one call and
+    walked level by level, with the labels per-query traverse would give."""
     if not samples:
         return 0.0
     labels = predict_hard(tree, embedder, np.array([s.features for s in samples]))
@@ -221,7 +222,8 @@ def train(train_set, test_set, config: TrainConfig, *,
 def evaluate(params: ParameterSet | None, train_set, test_set,
              max_children: int | None = None) -> tuple[float, int]:
     """Build a fresh tree over the full train set (identity embedding when
-    params is None) and report hard test error plus the node count."""
+    params is None) and report hard test error plus the node count. The
+    test set is predicted as one block (see hard_error)."""
     embedder = identity_embedder() if params is None else make_embedder(params)
     tree = build_tree(train_set.samples, embedder, max_children, train_set.class_count)
     return hard_error(tree, embedder, test_set.samples), len(tree)

@@ -1,5 +1,10 @@
 """Boundary tree: construction, greedy traversal, online growth, snapshots."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,8 +30,11 @@ from betree import (
     node_embedding,
     predict_hard,
     save_tree,
+    shuffle_split,
     traverse,
+    walk_block,
 )
+from betree import boundary_tree
 from helpers import random_samples, random_tree
 from oracles import ref_replay_build, ref_traverse
 
@@ -318,6 +326,132 @@ def test_build_tree_stores_query_rows_and_block_queries_match_one_by_one():
         b = traverse(replay, embedder, q)
         assert (a.visited, a.final, a.stop_mode) == (b.visited, b.final, b.stop_mode)
         assert all(x.distances.tobytes() == y.distances.tobytes() for x, y in zip(a.steps, b.steps))
+
+
+# ---- the block walk ----------------------------------------------------------
+
+
+def _blobs784(rng, n):
+    centers = rng.uniform(0.0, 1.0, (10, 784))
+    points = rng.normal(0.0, 0.9, (n, 784)) + centers[np.arange(n) % 10]
+    return [Sample(p, i % 10) for i, p in enumerate(points)]
+
+
+def _assert_block_walk_matches_traverse(tree, embedder, queries):
+    finals = walk_block(tree, embedder, queries)
+    expected = [traverse(tree, embedder, q).final for q in queries]
+    assert finals.dtype == np.intp and np.array_equal(finals, expected)
+    assert predict_hard(tree, embedder, queries) == [tree.nodes[i].label for i in expected]
+
+
+@pytest.mark.parametrize("max_children", [None, 1, 2, 3])
+@pytest.mark.parametrize("data", ["moons", "blobs784"])
+@pytest.mark.parametrize("kind", ["identity", "stale-mlp"])
+def test_walk_block_finals_equal_per_query_traverse(data, kind, max_children):
+    rng = np.random.default_rng(110)
+    if data == "moons":
+        samples, class_count = shuffle_split(gen_half_moons(500, 0.1, seed=111), 1, (1.0,))[0].samples, 2
+    else:
+        samples, class_count = _blobs784(rng, 420), 10
+    dim = samples[0].features.shape[0]
+    if kind == "identity":
+        embedder = identity_embedder()
+        tree = build_tree(samples[:300], embedder, max_children, class_count)
+    else:
+        arch = MlpArchitecture((dim, 16, 4), "tanh")
+        tree = build_tree(samples[:300], make_embedder(init_params(arch, 112)),
+                          max_children, class_count)
+        # new parameters after the build, as in train: every row is stale
+        embedder = make_embedder(init_params(arch, 113))
+    assert len(tree) > 10
+    # 784-d groups of more than CHUNK_FLOATS // 784 = 83 rows span chunks
+    queries = np.array([s.features for s in samples[300:]])
+    _assert_block_walk_matches_traverse(tree, embedder, queries)
+
+
+@pytest.mark.parametrize("max_children", [None, 1, 2, 3])
+def test_walk_block_ties_resolve_to_lowest_id(max_children, monkeypatch):
+    # integer-grid points: duplicate samples and many candidates at exactly
+    # equal distances from a query
+    rng = np.random.default_rng(114)
+    grid = [Sample(rng.integers(0, 4, 2).astype(float), int(rng.integers(3)))
+            for _ in range(300)]
+    tree = build_tree(grid, IDENT, max_children, 3)
+    queries = rng.integers(0, 4, (200, 2)) / 2.0
+    _assert_block_walk_matches_traverse(tree, IDENT, queries)
+    # chunks of 2 rows: choices assemble across chunk boundaries
+    monkeypatch.setattr(boundary_tree, "CHUNK_FLOATS", 4)
+    _assert_block_walk_matches_traverse(tree, IDENT, queries[:50])
+
+    # a hand-made tie: nodes 1 and 2 are equidistant from the origin, node 3
+    # duplicates node 1; the lowest id wins each tie
+    tree = new_tree(Sample([0.0, 10.0], 0), max_children, class_count=3)
+    for parent, point, label in [(0, [1.0, 0.0], 1), (0, [-1.0, 0.0], 2), (1, [1.0, 0.0], 0)]:
+        tree.add_child(parent, Sample(point, label))
+    finals = walk_block(tree, IDENT, np.array([[0.0, 0.0], [1.0, 0.0], [-0.5, 0.0]]))
+    assert finals.tolist() == ([1, 1, 2] if max_children != 1 else [3, 3, 2])
+    _assert_block_walk_matches_traverse(tree, IDENT, np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+    # squared distances one ulp apart with equal square roots: the walk
+    # compares the distances themselves, so node 1 wins the tie
+    tree = new_tree(Sample([0.0, 10.0], 0), max_children, class_count=3)
+    tree.add_child(0, Sample([1.1, 1.2999999999995564], 1))
+    tree.add_child(0, Sample([1.1, 1.2999999999995562], 2))
+    assert walk_block(tree, IDENT, np.zeros((1, 2))).tolist() == [1]
+    _assert_block_walk_matches_traverse(tree, IDENT, np.zeros((1, 2)))
+
+
+def test_walk_block_one_node_tree_and_empty_block():
+    tree = new_tree(Sample([0.0, 0.0], 1))
+    assert walk_block(tree, IDENT, np.ones((3, 2))).tolist() == [0, 0, 0]
+    assert predict_hard(tree, IDENT, np.ones((3, 2))) == [1, 1, 1]
+    tree = two_node_tree()
+    assert walk_block(tree, IDENT, np.zeros((0, 2))).shape == (0,)
+    assert predict_hard(tree, IDENT, np.zeros((0, 2))) == []
+
+
+@pytest.mark.parametrize("kind", ["identity", "mlp"])
+def test_malformed_query_shapes_are_rejected(kind):
+    if kind == "identity":
+        embedder = IDENT
+    else:
+        embedder = make_embedder(init_params(MlpArchitecture((2, 8, 3)), 115))
+    tree = build_tree(shuffle_split(gen_half_moons(60, 0.1, seed=116), 1, (1.0,))[0].samples, embedder)
+    width = "feature width d = 2"
+    for bad in (np.zeros((2, 3, 2)), np.zeros((2, 3)), np.zeros(3), np.float64(1.0),
+                np.zeros((0, 3))):
+        with pytest.raises(ValueError, match=width):
+            predict_hard(tree, embedder, bad)
+    for bad in (np.zeros(3), np.zeros((1, 2))):
+        with pytest.raises(ValueError, match=width):
+            traverse(tree, embedder, bad)
+    with pytest.raises(ValueError, match=width):
+        walk_block(tree, embedder, np.zeros(2))
+    assert predict_hard(tree, embedder, np.zeros((0, 2))) == []
+    assert predict_hard(tree, embedder, np.zeros(2)) == predict_hard(tree, embedder, np.zeros((1, 2)))[0]
+
+
+def test_block_predict_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use, which costs the process about
+    # 1.7 MB of resident memory; the block walk groups without it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import betree\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "data = betree.shuffle_split(betree.gen_half_moons(300, 0.1, seed=117), 1, (1.0,))[0]\n"
+        "emb = betree.identity_embedder()\n"
+        "tree = betree.build_tree(data.samples[:200], emb)\n"
+        "assert len(tree) > 5\n"
+        "betree.predict_hard(tree, emb, np.array([s.features for s in data.samples[200:]]))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_snapshot_round_trip(tmp_path):
