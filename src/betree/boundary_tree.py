@@ -87,9 +87,11 @@ class BoundaryTree:
     traversal to descend past it.
 
     Node embeddings are cached in `emb`, one row per node id, valid where
-    `emb_valid` is set and only under the embedder stamp `emb_key`. Both
-    grow geometrically as nodes are added; `emb` is None until the first
-    row is filled under the current key, which also fixes its width.
+    `emb_valid` is set and only under the embedder stamp `emb_key`; `sq`
+    holds each valid row's squared norm for the hard decisions' screen.
+    All three grow geometrically as nodes are added; `emb` and `sq` are
+    None until the first row is filled under the current key, which also
+    fixes the width.
     """
 
     def __init__(self, first: Sample, max_children: int | None = None, class_count: int = 2):
@@ -103,6 +105,7 @@ class BoundaryTree:
         self.class_count = class_count
         self.emb_key = None
         self.emb: np.ndarray | None = None
+        self.sq: np.ndarray | None = None
         self.emb_valid = np.zeros(1, dtype=bool)
 
     def __len__(self) -> int:
@@ -140,11 +143,15 @@ class BoundaryTree:
             emb = np.empty((capacity, self.emb.shape[1]))
             emb[:len(self.emb)] = self.emb
             self.emb = emb
+            sq = np.empty(capacity)
+            sq[:len(self.sq)] = self.sq
+            self.sq = sq
 
     def reset_embeddings(self, key) -> None:
         """Drop every cached row and start caching under `key`."""
         self.emb_key = key
         self.emb = None
+        self.sq = None
         self.emb_valid = np.zeros(len(self.emb_valid), dtype=bool)
 
 
@@ -164,11 +171,14 @@ def fill_embeddings(tree: BoundaryTree, embed, ids) -> None:
 
 
 def _store_rows(tree: BoundaryTree, ids, rows) -> None:
-    """Store embedding rows for `ids` under the tree's current key."""
+    """Store embedding rows for `ids`, and their squared norms, under the
+    tree's current key."""
     rows = np.asarray(rows, dtype=np.float64)
     if tree.emb is None:
         tree.emb = np.empty((len(tree.emb_valid), rows.shape[1]))
+        tree.sq = np.empty(len(tree.emb_valid))
     tree.emb[ids] = rows
+    tree.sq[ids] = np.einsum("ij,ij->i", rows, rows)
     tree.emb_valid[ids] = True
 
 
@@ -236,6 +246,19 @@ def traverse(tree: BoundaryTree, embed, y, y_emb=None) -> Trace:
 # floats, whatever the block size.
 CHUNK_FLOATS = 1 << 16
 
+# Embedding width from which _nearest screens a decision with one GEMM
+# before it takes any exact distance. Below it the screen's dozen extra
+# numpy calls per decision cost more than the arithmetic they save: on
+# Gaussian blobs, a raw-feature build plus block walk was slower screened
+# at widths 2 to 160 and faster from 192 on (CHANGES.md has the figures).
+SCREEN_MIN_WIDTH = 192
+
+# A row whose screen scale |q|^2 + max sq reaches this (inf and NaN
+# included) takes the exact path, so nothing in the screen can overflow.
+_SCREEN_MAX_SCALE = 2.0 ** 1000
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
+
 
 def walk_block(tree: BoundaryTree, embed, y) -> np.ndarray:
     """Final node id of each row of a raw query block `y` (rank 2): the
@@ -243,10 +266,10 @@ def walk_block(tree: BoundaryTree, embed, y) -> np.ndarray:
 
     The block is embedded by one embed call and the tree's rows are filled
     once. Queries are grouped by their current node, level by level, and a
-    group takes its decision as one array step: a (candidates x rows)
-    distance matrix, then the first minimum down each query's column. Every
-    distance is l2_value's arithmetic on the same elements in the same
-    order, so each final equals traverse(...).final bitwise, ties included.
+    group takes its decision through _nearest in row chunks gathered into
+    a preallocated buffer (no copy of the whole group). _nearest's choice
+    is l2_value's first minimum, so each final equals traverse(...).final
+    bitwise, ties included.
     """
     y = _check_queries(tree, y, (2,), "walk_block")
     finals = np.full(len(y), tree.root, dtype=np.intp)
@@ -262,7 +285,14 @@ def walk_block(tree: BoundaryTree, embed, y) -> np.ndarray:
         if not tree.nodes[node].children:
             continue
         cands = candidate_ids(tree, node)
-        choice = _nearest(q, rows, tree.emb, cands, scratch)
+        choice = np.empty(len(rows), dtype=np.intp)
+        step = max(1, CHUNK_FLOATS // max(width, len(cands)))
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo:lo + step]
+            m = len(chunk)
+            # clip, not the default raise: take then writes `out` directly
+            block = np.take(q, chunk, axis=0, out=scratch[0, :m], mode="clip")
+            choice[lo:lo + m] = _nearest(tree, cands, block, diff=scratch[1, :m])
         # bincount, not np.unique: the latter imports numpy.ma on first use
         for j in np.bincount(choice, minlength=len(cands)).nonzero()[0]:
             if cands[j] != node:
@@ -270,28 +300,89 @@ def walk_block(tree: BoundaryTree, embed, y) -> np.ndarray:
     return finals
 
 
-def _nearest(q, rows, emb, cands, scratch) -> np.ndarray:
-    """Index into `cands` of the nearest candidate row of `emb` for each
-    query row `q[rows]`, first minimum on ties. Rows go in chunks through
-    the two (rows x width) buffers of `scratch`: the gathered queries and
-    their differences to one candidate."""
-    k, width = len(cands), q.shape[1]
-    step = max(1, CHUNK_FLOATS // max(width, k))
-    choice = np.empty(len(rows), dtype=np.intp)
-    for lo in range(0, len(rows), step):
-        chunk = rows[lo:lo + step]
-        m = len(chunk)
-        # clip, not the default raise: take then writes `out` directly
-        block = np.take(q, chunk, axis=0, out=scratch[0, :m], mode="clip")
-        diff = scratch[1, :m]
-        dist = np.empty((k, m))
-        for j, c in enumerate(cands):
-            np.subtract(block, emb[c], out=diff)
-            np.multiply(diff, diff, out=diff)
-            diff.sum(axis=1, out=dist[j])
-        np.sqrt(dist, out=dist)
-        choice[lo:lo + m] = dist.argmin(axis=0)
+def _nearest(tree: BoundaryTree, cands, q, qsq=None, diff=None):
+    """Index into `cands` of the nearest candidate for one embedded query
+    row `q` (rank 1), or one index per row of a block (rank 2): the first
+    minimum of l2_value(row, tree.emb[cands]), bitwise traverse's choice.
+    The candidates' rows and squared norms `tree.sq` must be valid.
+
+    The exact path is _exact. For widths d >= SCREEN_MIN_WIDTH a screen
+    decides first, since a hard decision needs only the argmin. For a row
+    q and a candidate c, let s_c be the float sum l2_value takes the square
+    root of, and a_c = sq[c] - 2 q.c, from one GEMM (a GEMV for one row)
+    over the candidates. With u = eps/2 and gamma_n = n u / (1 - n u), the
+    dot-product error bound holds for any summation order, FMA included:
+      |sq[c] - |c|^2| <= gamma_d |c|^2 and |fl(q.c) - q.c| <= gamma_d |q||c|,
+      so with the last subtraction |a_c + |q|^2 - |q - c|^2|
+          <= 2 gamma_(d+1) (|q|^2 + |c|^2);
+      l2_value's sum of d rounded squares of rounded differences gives
+      |s_c - |q - c|^2| <= gamma_(d+2) |q - c|^2 <= 2 gamma_(d+2) (|q|^2 + |c|^2).
+    Hence, for every candidate,
+      |a_c + |q|^2 - s_c| <= M = 8 (d + 4) eps (|q|^2 + max sq[C] + tiny),
+    more than four times over: the slack covers the rounding of |q|^2, of
+    max sq and of M itself, and the tiny term (the smallest normal float)
+    covers underflow, which adds at most u tiny per product. A row is
+    decided by the screen only if exactly one candidate w has
+    a_w <= min a + 3M. Then every other candidate has
+      s_c >= a_c + |q|^2 - M > a_w + |q|^2 + 2M >= s_w + M >= s_w (1 + 4 eps),
+    so its correctly rounded square root is strictly larger than w's, and
+    the first-minimum rule cannot pick it. Every other row takes the exact
+    path: ties, duplicates and near-ties (two or more candidates pass),
+    rows with a NaN (none passes), and rows whose scale |q|^2 + max sq is
+    not below _SCREEN_MAX_SCALE (inf included).
+    """
+    c = tree.emb[cands]
+    if q.shape[-1] < SCREEN_MIN_WIDTH:
+        return _exact(q, c, diff)
+    if qsq is None:
+        qsq = np.einsum("ij,ij->i", q, q)
+    sq = tree.sq[cands]
+    approx = sq - 2.0 * (q @ c.T)
+    scale = qsq + sq.max()
+    limit = approx.min(axis=-1) + (scale + _TINY) * (24 * (q.shape[-1] + 4) * _EPS)
+    unsure = ((approx <= limit[..., None]).sum(axis=-1) != 1) | (scale >= _SCREEN_MAX_SCALE)
+    choice = approx.argmin(axis=-1)
+    if not unsure.any():
+        return choice
+    if q.ndim == 1:
+        return _exact(q, c)
+    todo = np.flatnonzero(unsure)
+    choice[todo] = _exact(q[todo], c, diff)
     return choice
+
+
+def _exact(q, c, diff=None):
+    """First minimum of l2_value(row, c) for one row `q` (rank 1) or each
+    row of a block, with l2_value's arithmetic on the same elements in the
+    same order: one l2_value call per row or, for more rows than
+    candidates, one distance column per candidate through the
+    (rows x width) buffer `diff`."""
+    if q.ndim == 1:
+        return np.argmin(l2_value(q, c))
+    if len(q) <= len(c):
+        return [np.argmin(l2_value(row, c)) for row in q]
+    diff = diff[:len(q)]
+    dist = np.empty((len(c), len(q)))
+    for j, row in enumerate(c):
+        np.subtract(q, row, out=diff)
+        np.multiply(diff, diff, out=diff)
+        diff.sum(axis=1, out=dist[j])
+    np.sqrt(dist, out=dist)
+    return dist.argmin(axis=0)
+
+
+def _descend(tree: BoundaryTree, row) -> int:
+    """Final node of traverse's descent for one embedded query row, with
+    the decisions of _nearest; every node row must be valid."""
+    current = tree.root
+    qsq = row @ row
+    while tree.nodes[current].children:
+        cands = candidate_ids(tree, current)
+        nxt = cands[_nearest(tree, cands, row, qsq)]
+        if nxt == current:
+            break
+        current = nxt
+    return current
 
 
 def predict_hard(tree: BoundaryTree, embed, y):
@@ -309,22 +400,27 @@ def insert_if_wrong(tree: BoundaryTree, embed, query: Sample, y_emb=None) -> boo
 
     Returns True when a node was added. The new node hangs off the final
     node of the failed query, so the new edge crosses a class boundary.
-    `y_emb`, the query's embedding under `embed` if the caller has it, is
-    also stored as the new node's row.
+    The tree's missing rows are filled once, then the query descends with
+    _nearest's decisions, which are traverse's. `y_emb`, the query's
+    embedding under `embed` if the caller has it, is also stored as the new
+    node's row.
     """
-    final = traverse(tree, embed, query.features, y_emb).final
+    y = _check_queries(tree, query.features, (1,), "insert_if_wrong")
+    fill_embeddings(tree, embed, range(len(tree)))
+    final = _descend(tree, np.asarray(embed(y) if y_emb is None else y_emb, dtype=np.float64))
     if tree.nodes[final].label == query.label:
         return False
     node_id = tree.add_child(final, query)
-    if y_emb is not None and tree.emb_key == embed.cache_key:
+    if y_emb is not None:
         _store_rows(tree, [node_id], [y_emb])
     return True
 
 
 def build_tree(samples, embed, max_children: int | None = None, class_count: int = 2) -> BoundaryTree:
-    """Feed samples through insert_if_wrong in order; the first becomes the
-    root. The samples are embedded as one row block, and each stored
-    sample's row is its query embedding."""
+    """Feed samples through insert_if_wrong's rule in order; the first
+    becomes the root. The samples are embedded as one row block, each
+    stored sample's row is its query embedding, and every query descends
+    with _nearest's decisions, so the tree equals one built by traverse."""
     samples = list(samples)
     if not samples:
         raise ValueError("build_tree: empty sample list")
@@ -337,7 +433,9 @@ def build_tree(samples, embed, max_children: int | None = None, class_count: int
     tree.reset_embeddings(embed.cache_key)
     _store_rows(tree, [0], rows[:1])
     for s, row in zip(samples[1:], rows[1:]):
-        insert_if_wrong(tree, embed, s, row)
+        final = _descend(tree, row)
+        if tree.nodes[final].label != s.label:
+            _store_rows(tree, [tree.add_child(final, s)], row[None])
     return tree
 
 

@@ -51,10 +51,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _runspec(args: argparse.Namespace) -> str:
+    """The resolved run configuration as one line of printable ASCII, for
+    the comment line of a CSV output: any other character of an argument
+    (non-ASCII, newline, other control characters) becomes a backslash
+    escape."""
     pairs = sorted(
         (k, v) for k, v in vars(args).items() if k not in ("func", "command") and v is not None
     )
-    return f"betree {args.command} " + " ".join(f"{k.replace('_', '-')}={v}" for k, v in pairs)
+    text = f"betree {args.command} " + " ".join(f"{k.replace('_', '-')}={v}" for k, v in pairs)
+    return "".join(ch if " " <= ch <= "~" else ch.encode("unicode_escape").decode("ascii")
+                   for ch in text)
 
 
 def _parse_arch(text: str, activation: str, parser: _Parser) -> MlpArchitecture:

@@ -47,8 +47,9 @@ def l2_value(a: np.ndarray, b: np.ndarray):
     The single distance kernel, shared by the soft path's loss head and
     plain tree traversal: both must agree bitwise, and each row's sum runs
     over the same contiguous elements in the same order as the rank-1 case.
-    boundary_tree.walk_block repeats this arithmetic, one candidate at a
-    time, in preallocated buffers.
+    The exact path of boundary_tree's hard decisions repeats this
+    arithmetic, for a row block one candidate at a time in preallocated
+    buffers.
     """
     diff = a - b
     return np.sqrt((diff * diff).sum(axis=-1))

@@ -134,9 +134,19 @@ def hard_error(tree: BoundaryTree, embedder, samples) -> float:
     walked level by level, with the labels per-query traverse would give."""
     if not samples:
         return 0.0
-    labels = predict_hard(tree, embedder, np.array([s.features for s in samples]))
-    wrong = sum(1 for s, label in zip(samples, labels) if label != s.label)
-    return wrong / len(samples)
+    return _block_error(tree, embedder, *_stack(samples))
+
+
+def _stack(samples) -> tuple[np.ndarray, list[int]]:
+    """Features of `samples` as one row block, and their labels."""
+    return np.array([s.features for s in samples]), [s.label for s in samples]
+
+
+def _block_error(tree: BoundaryTree, embedder, features, labels) -> float:
+    """hard_error over a stacked row block `features` with its `labels`."""
+    wrong = sum(1 for got, want in zip(predict_hard(tree, embedder, features), labels)
+                if got != want)
+    return wrong / len(labels)
 
 
 def train(train_set, test_set, config: TrainConfig, *,
@@ -153,7 +163,8 @@ def train(train_set, test_set, config: TrainConfig, *,
 
     test_error in the log is measured per iteration against that iteration's
     small tree with the end-of-iteration parameters; full_tree_eval adds the
-    error of a tree rebuilt over the whole train set (much slower). Each
+    error of a tree rebuilt over the whole train set (much slower). The test
+    set is stacked into one row block once per call. Each
     record's seconds run from the end of the previous record, the first
     from the start of the call, so they add up to the whole call.
     """
@@ -173,6 +184,7 @@ def train(train_set, test_set, config: TrainConfig, *,
     adam = AdamState.fresh(params, config.lr, config.beta1, config.beta2, config.eps)
     stream = _SampleStream(samples, config.seed + 1)
     log = TrainLog()
+    test_block = _stack(test_set.samples) if test_set is not None and test_set.samples else None
 
     for iteration in range(config.max_outer_iters):
         stream.ensure(need)
@@ -194,12 +206,12 @@ def train(train_set, test_set, config: TrainConfig, *,
 
         test_error = None
         full_test_error = None
-        if test_set is not None and test_set.samples:
+        if test_block is not None:
             embedder = make_embedder(params)
-            test_error = hard_error(tree, embedder, test_set.samples)
+            test_error = _block_error(tree, embedder, *test_block)
             if full_tree_eval:
                 full_tree = build_tree(samples, embedder, config.max_children, class_count)
-                full_test_error = hard_error(full_tree, embedder, test_set.samples)
+                full_test_error = _block_error(full_tree, embedder, *test_block)
 
         t1 = time.perf_counter()
         log.records.append(IterRecord(

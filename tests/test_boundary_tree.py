@@ -262,6 +262,7 @@ def test_node_embedding_cache_keyed_by_embedder():
     assert traverse(tree, widen, np.array([3.0, 0.0])).final == 1
     fill_embeddings(tree, IDENT, range(len(tree)))
     assert tree.emb.shape[1] == 2 and np.array_equal(tree.emb[:2], [[0.0, 0.0], [4.0, 0.0]])
+    assert tree.sq[:2].tolist() == [0.0, 16.0]  # squared norms follow the rows
 
 
 def test_embedding_matrix_grows_and_traverse_matches_per_candidate_replay():
@@ -317,6 +318,8 @@ def test_build_tree_stores_query_rows_and_block_queries_match_one_by_one():
     assert tree.emb_key == embedder.cache_key and tree.emb_valid[:len(tree)].all()
     for node in tree.nodes:
         assert tree.emb[node.id].tobytes() == embed(params, node.sample.features).tobytes()
+    rows = tree.emb[:len(tree)]
+    assert np.array_equal(tree.sq[:len(tree)], np.einsum("ij,ij->i", rows, rows))
 
     queries = rng.normal(size=(40, 3))
     labels = predict_hard(tree, embedder, queries)
@@ -401,6 +404,79 @@ def test_walk_block_ties_resolve_to_lowest_id(max_children, monkeypatch):
     _assert_block_walk_matches_traverse(tree, IDENT, np.zeros((1, 2)))
 
 
+# SCREEN_MIN_WIDTH values that force every hard decision through the GEMM
+# screen, or none: each path is then exercised on small data.
+SCREEN_PATHS = {"screened": 1, "exact": 1 << 30}
+
+
+def _reference_build(samples, embedder, max_children, class_count):
+    """build_tree's insert-on-error rule with traverse's decisions."""
+    tree = new_tree(samples[0], max_children, class_count)
+    for s in samples[1:]:
+        final = traverse(tree, embedder, s.features).final
+        if tree.nodes[final].label != s.label:
+            tree.add_child(final, s)
+    return tree
+
+
+def _assert_build_matches_traverse(samples, embedder, max_children, class_count):
+    tree = build_tree(samples, embedder, max_children, class_count)
+    reference = _reference_build(samples, embedder, max_children, class_count)
+    assert [(n.parent, n.label) for n in tree.nodes] == [(n.parent, n.label) for n in reference.nodes]
+    return tree
+
+
+@pytest.mark.parametrize("path", sorted(SCREEN_PATHS))
+@pytest.mark.parametrize("max_children", [None, 1, 2])
+@pytest.mark.parametrize("data", ["moons", "blobs784"])
+@pytest.mark.parametrize("kind", ["identity", "mlp"])
+def test_build_and_block_walk_equal_traverse_on_either_path(kind, data, max_children, path,
+                                                            monkeypatch):
+    monkeypatch.setattr(boundary_tree, "SCREEN_MIN_WIDTH", SCREEN_PATHS[path])
+    rng = np.random.default_rng(120)
+    if data == "moons":
+        samples, class_count = shuffle_split(gen_half_moons(300, 0.25, seed=121), 1, (1.0,))[0].samples, 2
+    else:
+        samples, class_count = _blobs784(rng, 300), 10
+    dim = samples[0].features.shape[0]
+    if kind == "identity":
+        embedder = identity_embedder()
+    else:
+        embedder = make_embedder(init_params(MlpArchitecture((dim, 16, 4), "tanh"), 122))
+    tree = _assert_build_matches_traverse(samples[:200], embedder, max_children, class_count)
+    assert len(tree) > 10
+    _assert_block_walk_matches_traverse(tree, embedder, np.array([s.features for s in samples[200:]]))
+
+
+@pytest.mark.parametrize("path", sorted(SCREEN_PATHS))
+def test_near_ties_at_784_d_follow_traverse(path, monkeypatch):
+    # The query is 1000*1 plus small noise; its two candidates q + v and
+    # q + perm(v) are at equal real distance, so their exact float sums
+    # differ only by rounding, while a GEMM's sq - 2 q.c cancels |q|^2 ~ 8e8
+    # and errs far more. The screen must leave these rows to the exact path.
+    monkeypatch.setattr(boundary_tree, "SCREEN_MIN_WIDTH", SCREEN_PATHS[path])
+    rng = np.random.default_rng(123)
+    gemm_misorders = 0
+    for _ in range(200):
+        q = 1000.0 + rng.normal(0.0, 1e-3, 784)
+        v = rng.normal(size=784)
+        near = np.array([q + v, q + rng.permutation(v)])
+        exact = l2_value(q, near)
+        gemm = np.einsum("ij,ij->i", near, near) - 2.0 * (near @ q)
+        gemm_misorders += int(np.argmin(gemm) != np.argmin(exact))
+
+        # two siblings under a far root: the walk decides between them
+        tree = new_tree(Sample(np.zeros(784), 0), class_count=3)
+        tree.add_child(0, Sample(near[0], 1))
+        tree.add_child(0, Sample(near[1], 2))
+        _assert_block_walk_matches_traverse(tree, IDENT, q[None])
+        # the build stores near[1] under near[0], then decides q between them
+        samples = [Sample(np.zeros(784), 0), Sample(near[0], 1), Sample(near[1], 2), Sample(q, 0)]
+        assert len(_assert_build_matches_traverse(samples, IDENT, None, 3)) == 4
+    # the data defeat an unguarded screen: its argmin is a coin flip here
+    assert gemm_misorders > 40
+
+
 def test_walk_block_one_node_tree_and_empty_block():
     tree = new_tree(Sample([0.0, 0.0], 1))
     assert walk_block(tree, IDENT, np.ones((3, 2))).tolist() == [0, 0, 0]
@@ -433,7 +509,8 @@ def test_malformed_query_shapes_are_rejected(kind):
 
 def test_block_predict_leaves_numpy_ma_unimported():
     # np.unique imports numpy.ma on first use, which costs the process about
-    # 1.7 MB of resident memory; the block walk groups without it
+    # 1.7 MB of resident memory; the block walk groups without it, and
+    # neither the exact path (2-d) nor the GEMM screen (784-d) imports it
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -444,6 +521,12 @@ def test_block_predict_leaves_numpy_ma_unimported():
         "tree = betree.build_tree(data.samples[:200], emb)\n"
         "assert len(tree) > 5\n"
         "betree.predict_hard(tree, emb, np.array([s.features for s in data.samples[200:]]))\n"
+        "assert betree.boundary_tree.SCREEN_MIN_WIDTH <= 784\n"
+        "rng = np.random.default_rng(119)\n"
+        "points = rng.normal(0.0, 0.9, (300, 784)) + rng.uniform(0.0, 1.0, (10, 784))[np.arange(300) % 10]\n"
+        "tree = betree.build_tree([betree.Sample(p, i % 10) for i, p in enumerate(points[:200])], emb, None, 10)\n"
+        "assert len(tree) > 5\n"
+        "betree.predict_hard(tree, emb, points[200:])\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -282,6 +282,39 @@ def test_gen_moons_round_trip(tmp_path):
         assert np.array_equal(a.features, b.features)  # repr round-trips exactly
 
 
+def test_comment_line_escapes_non_ascii_and_control_characters(tmp_path):
+    # a non-ASCII log path: training writes the whole log, and the comment
+    # line names the path with a backslash escape
+    log = tmp_path / "l\u00e9.csv"
+    code = run(FAST_TRAIN + ["--checkpoint-out", str(tmp_path / "m.ckpt"), "--log", str(log),
+                             "--no-final-eval"])
+    assert code == 2
+    lines = log.read_bytes().decode("ascii").split("\n")
+    assert lines[0].startswith("# betree train ") and "log=" + str(tmp_path / "l\\xe9.csv") in lines[0]
+    assert lines[1] == "iter,mean_loss,nodes,test_error,clamps,seconds"
+    assert len(lines) == 2 + 3 + 1  # the file ends with a newline
+
+    # gen-moons to a non-ASCII path and to a path with a newline in it:
+    # each CSV keeps a one-line comment and loads back exactly
+    direct = gen_half_moons(12, 0.1, 3)
+    for name, escaped in (("d\u00e9.csv", "d\\xe9.csv"), ("a\nb.csv", "a\\nb.csv")):
+        out = tmp_path / name
+        assert run(["gen-moons", "--n", "12", "--seed", "3", "--out", str(out)]) == 0
+        first, second = out.read_bytes().decode("ascii").split("\n")[:2]
+        assert first.endswith("out=" + str(tmp_path / escaped) + " seed=3")
+        assert second.startswith("label,")
+        loaded = load_embedding_csv(out)
+        assert [s.label for s in loaded.samples] == [s.label for s in direct.samples]
+        assert all(np.array_equal(a.features, b.features)
+                   for a, b in zip(loaded.samples, direct.samples))
+
+
+def test_comment_line_keeps_printable_ascii_arguments_verbatim(tmp_path):
+    out = tmp_path / "plain.csv"
+    assert run(["gen-moons", "--n", "5", "--noise", "0.2", "--seed", "4", "--out", str(out)]) == 0
+    assert out.read_text().split("\n")[0] == f"# betree gen-moons n=5 noise=0.2 out={out} seed=4"
+
+
 def test_dump_embeddings_identity_reproduces_inputs(tmp_path):
     src = tmp_path / "src.csv"
     assert run(["gen-moons", "--n", "20", "--noise", "0.1", "--seed", "7",
