@@ -159,14 +159,18 @@ def new_tree(first: Sample, max_children: int | None = None, class_count: int = 
     return BoundaryTree(first, max_children, class_count)
 
 
-def fill_embeddings(tree: BoundaryTree, embed, ids) -> None:
-    """Make rows `ids` valid under `embed`: the missing rows are embedded as
-    one row block by one embed call. A new embed.cache_key first drops
-    every row, and the width may change with it."""
+def fill_embeddings(tree: BoundaryTree, embed, ids=None) -> None:
+    """Make rows `ids`, or every node's row for None, valid under `embed`:
+    the missing rows are embedded as one row block by one embed call. A new
+    embed.cache_key first drops every row, and the width may change with
+    it."""
     if tree.emb_key != embed.cache_key:
         tree.reset_embeddings(embed.cache_key)
-    missing = [i for i in ids if not tree.emb_valid[i]]
-    if missing:
+    if ids is None:
+        missing = np.flatnonzero(~tree.emb_valid[:len(tree)])
+    else:
+        missing = [i for i in ids if not tree.emb_valid[i]]
+    if len(missing):
         _store_rows(tree, missing, embed(np.array([tree.nodes[i].sample.features for i in missing])))
 
 
@@ -276,7 +280,7 @@ def walk_block(tree: BoundaryTree, embed, y) -> np.ndarray:
     if not len(y):
         return finals
     q = np.asarray(embed(y), dtype=np.float64)
-    fill_embeddings(tree, embed, range(len(tree)))
+    fill_embeddings(tree, embed)
     width = q.shape[1]
     scratch = np.empty((2, min(len(y), max(1, CHUNK_FLOATS // max(width, 1))), width))
     groups = [(tree.root, np.arange(len(y)))]
@@ -354,13 +358,10 @@ def _nearest(tree: BoundaryTree, cands, q, qsq=None, diff=None):
 def _exact(q, c, diff=None):
     """First minimum of l2_value(row, c) for one row `q` (rank 1) or each
     row of a block, with l2_value's arithmetic on the same elements in the
-    same order: one l2_value call per row or, for more rows than
-    candidates, one distance column per candidate through the
-    (rows x width) buffer `diff`."""
+    same order: one l2_value call for one row, one distance column per
+    candidate through the (rows x width) buffer `diff` for a block."""
     if q.ndim == 1:
         return np.argmin(l2_value(q, c))
-    if len(q) <= len(c):
-        return [np.argmin(l2_value(row, c)) for row in q]
     diff = diff[:len(q)]
     dist = np.empty((len(c), len(q)))
     for j, row in enumerate(c):
@@ -395,6 +396,19 @@ def predict_hard(tree: BoundaryTree, embed, y):
     return labels[0] if y.ndim == 1 else labels
 
 
+def _insert(tree: BoundaryTree, sample: Sample, row, store: bool) -> bool:
+    """The insert-on-error rule for one sample with embedded query row
+    `row`: descend, and add the sample under the final node if that node's
+    label is wrong. `store` also keeps `row` as the new node's row."""
+    final = _descend(tree, row)
+    if tree.nodes[final].label == sample.label:
+        return False
+    node_id = tree.add_child(final, sample)
+    if store:
+        _store_rows(tree, [node_id], row[None])
+    return True
+
+
 def insert_if_wrong(tree: BoundaryTree, embed, query: Sample, y_emb=None) -> bool:
     """Train on one sample: store it only if the tree misclassifies it.
 
@@ -406,14 +420,9 @@ def insert_if_wrong(tree: BoundaryTree, embed, query: Sample, y_emb=None) -> boo
     node's row.
     """
     y = _check_queries(tree, query.features, (1,), "insert_if_wrong")
-    fill_embeddings(tree, embed, range(len(tree)))
-    final = _descend(tree, np.asarray(embed(y) if y_emb is None else y_emb, dtype=np.float64))
-    if tree.nodes[final].label == query.label:
-        return False
-    node_id = tree.add_child(final, query)
-    if y_emb is not None:
-        _store_rows(tree, [node_id], [y_emb])
-    return True
+    fill_embeddings(tree, embed)
+    row = np.asarray(embed(y) if y_emb is None else y_emb, dtype=np.float64)
+    return _insert(tree, query, row, store=y_emb is not None)
 
 
 def build_tree(samples, embed, max_children: int | None = None, class_count: int = 2) -> BoundaryTree:
@@ -433,9 +442,7 @@ def build_tree(samples, embed, max_children: int | None = None, class_count: int
     tree.reset_embeddings(embed.cache_key)
     _store_rows(tree, [0], rows[:1])
     for s, row in zip(samples[1:], rows[1:]):
-        final = _descend(tree, row)
-        if tree.nodes[final].label != s.label:
-            _store_rows(tree, [tree.add_child(final, s)], row[None])
+        _insert(tree, s, row, store=True)
     return tree
 
 
