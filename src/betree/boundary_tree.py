@@ -253,9 +253,11 @@ CHUNK_FLOATS = 1 << 16
 # Embedding width from which _nearest screens a decision with one GEMM
 # before it takes any exact distance. Below it the screen's dozen extra
 # numpy calls per decision cost more than the arithmetic they save: on
-# Gaussian blobs, a raw-feature build plus block walk was slower screened
-# at widths 2 to 160 and faster from 192 on (CHANGES.md has the figures).
-SCREEN_MIN_WIDTH = 192
+# Gaussian blobs, a raw-feature block build plus block walk was 15% slower
+# screened at width 2, 9% faster at 20 and 26-63% faster from 64 on
+# (CHANGES.md has the table). Width 20, an MLP output width of the
+# benchmark, stays exact until its training builds are measured screened.
+SCREEN_MIN_WIDTH = 64
 
 # A row whose screen scale |q|^2 + max sq reaches this (inf and NaN
 # included) takes the exact path, so nothing in the screen can overflow.
@@ -269,24 +271,38 @@ def walk_block(tree: BoundaryTree, embed, y) -> np.ndarray:
     descent of `traverse`, taken for the whole block at once.
 
     The block is embedded by one embed call and the tree's rows are filled
-    once. Queries are grouped by their current node, level by level, and a
-    group takes its decision through _nearest in row chunks gathered into
-    a preallocated buffer (no copy of the whole group). _nearest's choice
-    is l2_value's first minimum, so each final equals traverse(...).final
-    bitwise, ties included.
+    once; _walk then descends every row, so each final equals
+    traverse(...).final bitwise, ties included.
     """
     y = _check_queries(tree, y, (2,), "walk_block")
-    finals = np.full(len(y), tree.root, dtype=np.intp)
     if not len(y):
-        return finals
+        return np.full(0, tree.root, dtype=np.intp)
     q = np.asarray(embed(y), dtype=np.float64)
     fill_embeddings(tree, embed)
+    return _walk(tree, q)[0]
+
+
+def _walk(tree: BoundaryTree, q):
+    """Descend every row of an embedded query block `q` (rank 2, at least
+    one row); every node row must be valid.
+
+    Returns the final node id of each row and, for each visited node, the
+    pair (rows, next): the indices of the rows that reached it and the node
+    each of them moved to, the node itself where a row stopped there.
+    Queries are grouped by their current node, level by level, and a group
+    takes its decision through _nearest in row chunks gathered into a
+    preallocated buffer (no copy of the whole group). _nearest's choice is
+    l2_value's first minimum, so every move is the one traverse makes.
+    """
+    finals = np.full(len(q), tree.root, dtype=np.intp)
+    visits = {}
     width = q.shape[1]
-    scratch = np.empty((2, min(len(y), max(1, CHUNK_FLOATS // max(width, 1))), width))
-    groups = [(tree.root, np.arange(len(y)))]
+    scratch = np.empty((2, min(len(q), max(1, CHUNK_FLOATS // max(width, 1))), width))
+    groups = [(tree.root, np.arange(len(q)))]
     for node, rows in groups:  # appended groups are the next level down
         finals[rows] = node
         if not tree.nodes[node].children:
+            visits[node] = (rows, np.full(len(rows), node))
             continue
         cands = candidate_ids(tree, node)
         choice = np.empty(len(rows), dtype=np.intp)
@@ -297,11 +313,12 @@ def walk_block(tree: BoundaryTree, embed, y) -> np.ndarray:
             # clip, not the default raise: take then writes `out` directly
             block = np.take(q, chunk, axis=0, out=scratch[0, :m], mode="clip")
             choice[lo:lo + m] = _nearest(tree, cands, block, diff=scratch[1, :m])
+        visits[node] = (rows, np.asarray(cands)[choice])
         # bincount, not np.unique: the latter imports numpy.ma on first use
         for j in np.bincount(choice, minlength=len(cands)).nonzero()[0]:
             if cands[j] != node:
                 groups.append((cands[j], rows[choice == j]))
-    return finals
+    return finals, visits
 
 
 def _nearest(tree: BoundaryTree, cands, q, qsq=None, diff=None):
@@ -396,17 +413,19 @@ def predict_hard(tree: BoundaryTree, embed, y):
     return labels[0] if y.ndim == 1 else labels
 
 
-def _insert(tree: BoundaryTree, sample: Sample, row, store: bool) -> bool:
+def _insert(tree: BoundaryTree, sample: Sample, row, final=None) -> int | None:
     """The insert-on-error rule for one sample with embedded query row
-    `row`: descend, and add the sample under the final node if that node's
-    label is wrong. `store` also keeps `row` as the new node's row."""
-    final = _descend(tree, row)
+    `row`: descend (unless the caller knows the `final` node of that
+    descent), and add the sample under the final node if that node's label
+    is wrong, with `row` as the new node's row. Returns the new node's id,
+    or None when nothing was added."""
+    if final is None:
+        final = _descend(tree, row)
     if tree.nodes[final].label == sample.label:
-        return False
+        return None
     node_id = tree.add_child(final, sample)
-    if store:
-        _store_rows(tree, [node_id], row[None])
-    return True
+    _store_rows(tree, [node_id], row[None])
+    return node_id
 
 
 def insert_if_wrong(tree: BoundaryTree, embed, query: Sample, y_emb=None) -> bool:
@@ -415,21 +434,37 @@ def insert_if_wrong(tree: BoundaryTree, embed, query: Sample, y_emb=None) -> boo
     Returns True when a node was added. The new node hangs off the final
     node of the failed query, so the new edge crosses a class boundary.
     The tree's missing rows are filled once, then the query descends with
-    _nearest's decisions, which are traverse's. `y_emb`, the query's
-    embedding under `embed` if the caller has it, is also stored as the new
-    node's row.
+    _nearest's decisions, which are traverse's. The query's embedding,
+    `y_emb` if the caller has it and embed(y) otherwise, is stored as the
+    new node's row.
     """
     y = _check_queries(tree, query.features, (1,), "insert_if_wrong")
     fill_embeddings(tree, embed)
     row = np.asarray(embed(y) if y_emb is None else y_emb, dtype=np.float64)
-    return _insert(tree, query, row, store=y_emb is not None)
+    return _insert(tree, query, row) is not None
+
+
+# build_tree walks its pending samples in blocks of this many rows. Longer
+# blocks share more of each level's Python work; shorter ones let fewer
+# rows go stale before their turn. Raw-feature builds of 3000 Gaussian-blob
+# samples at 784-d were fastest from 64 to 256 rows with unbounded fan-out
+# and at 256 with max_children 2; 800 half-moons samples, from 64 to 128
+# (CHANGES.md has the table).
+BUILD_BLOCK = 128
 
 
 def build_tree(samples, embed, max_children: int | None = None, class_count: int = 2) -> BoundaryTree:
     """Feed samples through insert_if_wrong's rule in order; the first
-    becomes the root. The samples are embedded as one row block, each
-    stored sample's row is its query embedding, and every query descends
-    with _nearest's decisions, so the tree equals one built by traverse."""
+    becomes the root. The samples are embedded as one row block, and each
+    stored sample's row is its query embedding.
+
+    The tree equals one built by a loop of traverse plus add_child. The
+    samples are walked BUILD_BLOCK rows at a time by _walk, and then taken
+    in order. An insert under a node F changes only F's candidate set, and
+    every walk that F changes passed through F, so only the block's later
+    rows that visited F can move; _mark_stale re-checks them. A row marked
+    stale takes the one-row descent of _insert when its turn comes.
+    """
     samples = list(samples)
     if not samples:
         raise ValueError("build_tree: empty sample list")
@@ -441,9 +476,44 @@ def build_tree(samples, embed, max_children: int | None = None, class_count: int
     rows = np.asarray(embed(np.array([s.features for s in samples])), dtype=np.float64)
     tree.reset_embeddings(embed.cache_key)
     _store_rows(tree, [0], rows[:1])
-    for s, row in zip(samples[1:], rows[1:]):
-        _insert(tree, s, row, store=True)
+    for lo in range(1, len(samples), BUILD_BLOCK):
+        q = rows[lo:lo + BUILD_BLOCK]
+        finals, visits = _walk(tree, q)
+        finals = finals.tolist()
+        stale = np.zeros(len(q), dtype=bool)
+        for i, s in enumerate(samples[lo:lo + len(q)]):
+            node_id = _insert(tree, s, q[i], None if stale[i] else finals[i])
+            if node_id is not None:
+                _mark_stale(tree, node_id, visits, q, i, stale)
     return tree
+
+
+def _mark_stale(tree: BoundaryTree, node_id: int, visits, q, i: int, stale) -> None:
+    """Mark stale each row of the block `q` after row `i` whose walk the
+    new node `node_id` may change; `visits` is _walk's map for the block.
+
+    Every move of a walk goes from a node to one of its children, so only
+    walks that reached the new node's parent F can change. A row not yet
+    stale still walks its _walk path, and chose c* = next there. The new
+    node joins F's candidates with the highest id, so it loses every tie,
+    and F leaves them if F just became full. So the row keeps its whole
+    path exactly when l2(q, new) >= l2(q, c*) in l2_value's arithmetic,
+    unless c* = F and F is now full. A NaN distance compares False, so its
+    row goes stale, which is safe: a stale row is walked again.
+    """
+    parent = tree.nodes[node_id].parent
+    if parent not in visits:
+        return
+    rows, nxt = visits[parent]
+    live = (rows > i) & ~stale[rows]
+    rows, nxt = rows[live], nxt[live]
+    if not len(rows):
+        return
+    block = q[rows]
+    keep = l2_value(block, tree.emb[node_id]) >= l2_value(block, tree.emb[nxt])
+    if tree.max_children is not None and len(tree.nodes[parent].children) == tree.max_children:
+        keep &= nxt != parent
+    stale[rows[~keep]] = True
 
 
 # ---- snapshot files --------------------------------------------------------

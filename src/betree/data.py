@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
@@ -115,8 +116,8 @@ def _utf8_lines(f, path):
 def load_embedding_csv(path) -> Dataset:
     """Rows of `label, v1, ..., vD`; lines starting with `#` are comments,
     and a non-numeric first field on the first data line is treated as a
-    header. Errors name the offending line, or the file when it is not
-    UTF-8 text."""
+    header. Feature values must be finite. Errors name the offending line,
+    or the file when it is not UTF-8 text."""
     samples = []
     dim = None
     header_seen = False
@@ -144,6 +145,10 @@ def load_embedding_csv(path) -> Dataset:
                 raise DataFormatError(f"{path}:{lineno}: label must be a non-negative integer, got {row[0]!r}")
             if label_f >= MAX_CLASS_COUNT:
                 raise DataFormatError(f"{path}:{lineno}: label {row[0]!r} is not below {MAX_CLASS_COUNT}")
+            for col, v in enumerate(values, start=2):
+                if not math.isfinite(v):
+                    raise DataFormatError(
+                        f"{path}:{lineno}: field {col} must be a finite number, got {row[col - 1]!r}")
             label = int(label_f)
             if dim is None:
                 dim = len(values)

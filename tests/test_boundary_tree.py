@@ -287,8 +287,9 @@ def test_embedding_matrix_grows_and_traverse_matches_per_candidate_replay():
     assert len(tree) > 100
     for i in np.flatnonzero(tree.emb_valid):
         assert np.array_equal(tree.emb[i], embed(params, tree.nodes[i].sample.features))
-    # One embedded row per traversed query plus one per node row filled.
-    assert calls["n"] == 400 + int(tree.emb_valid.sum())
+    # One embedded row per query plus the root's single fill: an inserted
+    # query's row is stored, never embedded again.
+    assert calls["n"] == 400 + 1 and tree.emb_valid[:len(tree)].all()
 
     for _ in range(50):
         q = rng.normal(size=3)
@@ -409,19 +410,26 @@ def test_walk_block_ties_resolve_to_lowest_id(max_children, monkeypatch):
 SCREEN_PATHS = {"screened": 1, "exact": 1 << 30}
 
 
-def _reference_build(samples, embedder, max_children, class_count):
-    """build_tree's insert-on-error rule with traverse's decisions."""
+def _reference_build(samples, embedder, max_children, class_count, block=None):
+    """build_tree's insert-on-error rule with traverse's decisions, and,
+    given a `block` length, how many samples walk, at their turn, a
+    different path than at the start of their block of `block` samples:
+    for finite data, exactly the rows the block build re-walks."""
     tree = new_tree(samples[0], max_children, class_count)
-    for s in samples[1:]:
-        final = traverse(tree, embedder, s.features).final
-        if tree.nodes[final].label != s.label:
-            tree.add_child(final, s)
-    return tree
+    changed = 0
+    for i, s in enumerate(samples[1:]):
+        if block and i % block == 0:
+            start = [traverse(tree, embedder, t.features).visited for t in samples[1 + i:1 + i + block]]
+        trace = traverse(tree, embedder, s.features)
+        changed += bool(block) and trace.visited != start[i % block]
+        if tree.nodes[trace.final].label != s.label:
+            tree.add_child(trace.final, s)
+    return tree, changed
 
 
 def _assert_build_matches_traverse(samples, embedder, max_children, class_count):
     tree = build_tree(samples, embedder, max_children, class_count)
-    reference = _reference_build(samples, embedder, max_children, class_count)
+    reference, _ = _reference_build(samples, embedder, max_children, class_count)
     assert [(n.parent, n.label) for n in tree.nodes] == [(n.parent, n.label) for n in reference.nodes]
     return tree
 
@@ -446,6 +454,60 @@ def test_build_and_block_walk_equal_traverse_on_either_path(kind, data, max_chil
     tree = _assert_build_matches_traverse(samples[:200], embedder, max_children, class_count)
     assert len(tree) > 10
     _assert_block_walk_matches_traverse(tree, embedder, np.array([s.features for s in samples[200:]]))
+
+
+def _grid_samples(rng, n):
+    # integer-grid points in 3 classes: many duplicate points with different
+    # labels, so a new node often ties a pending row's choice exactly
+    return [Sample(rng.integers(0, 3, 2).astype(float), int(rng.integers(3))) for _ in range(n)]
+
+
+def _nonfinite_samples(rng, n):
+    points = rng.normal(size=(n, 3))
+    points[rng.random((n, 3)) < 0.02] = np.nan
+    points[rng.random((n, 3)) < 0.02] = np.inf
+    points[rng.random((n, 3)) < 0.02] = -np.inf
+    points[0] = 0.0  # a finite root
+    return [Sample(p, int(rng.integers(3))) for p in points]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("path", sorted(SCREEN_PATHS))
+@pytest.mark.parametrize("block", [1, 2, 3, 1000])
+@pytest.mark.parametrize("max_children", [None, 1, 2])
+@pytest.mark.parametrize("data", ["grid", "moons", "nonfinite"])
+def test_block_build_equals_traverse_loop_and_rewalks_only_changed_rows(data, max_children, block,
+                                                                         path, monkeypatch):
+    # The build walks BUILD_BLOCK rows at a time, and a row goes through the
+    # one-row descent only once an insert may have changed its walk. For
+    # finite data those are exactly the rows whose path at their turn
+    # differs from their path at the start of the block: a row that ties
+    # the new node keeps its walk (the new node has the highest id). Rows
+    # with a NaN distance are always re-walked.
+    monkeypatch.setattr(boundary_tree, "SCREEN_MIN_WIDTH", SCREEN_PATHS[path])
+    monkeypatch.setattr(boundary_tree, "BUILD_BLOCK", block)
+    rng = np.random.default_rng(124)
+    if data == "grid":
+        samples = _grid_samples(rng, 200)
+    elif data == "moons":
+        samples = shuffle_split(gen_half_moons(200, 0.25, seed=125), 1, (1.0,))[0].samples
+    else:
+        samples = _nonfinite_samples(rng, 200)
+    rewalks = []
+    descend = boundary_tree._descend
+    monkeypatch.setattr(boundary_tree, "_descend", lambda tree, row: rewalks.append(1) or descend(tree, row))
+    tree = build_tree(samples, IDENT, max_children, 3)
+    reference, changed = _reference_build(samples, IDENT, max_children, 3, block)
+    assert [(n.parent, n.label) for n in tree.nodes] == [(n.parent, n.label) for n in reference.nodes]
+    assert len(tree) > 10
+    if data == "nonfinite":
+        assert len(rewalks) >= changed
+    else:
+        assert len(rewalks) == changed
+    if block == 1:
+        assert changed == 0
+    elif block == 1000 and max_children == 1:
+        assert changed > 0
 
 
 @pytest.mark.parametrize("path", sorted(SCREEN_PATHS))
@@ -473,6 +535,13 @@ def test_near_ties_at_784_d_follow_traverse(path, monkeypatch):
         # the build stores near[1] under near[0], then decides q between them
         samples = [Sample(np.zeros(784), 0), Sample(near[0], 1), Sample(near[1], 2), Sample(q, 0)]
         assert len(_assert_build_matches_traverse(samples, IDENT, None, 3)) == 4
+        # in blocks of two, near[1] and q walk together to near[0]; storing
+        # near[1] there leaves q's walk only if near[1] is strictly nearer
+        monkeypatch.setattr(boundary_tree, "BUILD_BLOCK", 2)
+        samples.insert(2, samples[0])
+        assert len(_assert_build_matches_traverse(samples, IDENT, None, 3)) == 4
+        monkeypatch.undo()
+        monkeypatch.setattr(boundary_tree, "SCREEN_MIN_WIDTH", SCREEN_PATHS[path])
     # the data defeat an unguarded screen: its argmin is a coin flip here
     assert gemm_misorders > 40
 

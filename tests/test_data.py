@@ -184,6 +184,11 @@ def test_csv_error_cases(tmp_path):
         "inflabel.csv": ("inf,1.0\n", "non-negative integer"),
         "hugelabel.csv": ("0,1.0\n1e300,2.0\n", r"hugelabel\.csv:2: label '1e300' is not below"),
         "limitlabel.csv": (f"{MAX_CLASS_COUNT},1.0\n", f"not below {MAX_CLASS_COUNT}"),
+        "nanfeature.csv": ("0,1.0,2.0\n1,nan,2.0\n",
+                           r"nanfeature\.csv:2: field 2 must be a finite number, got 'nan'"),
+        "inffeature.csv": ("0,1.0,2.0\n1,2.0,-inf\n", r"inffeature\.csv:2: field 3 must be a finite"),
+        "hugefeature.csv": ("0,1.0,1e999\n",
+                            r"hugefeature\.csv:1: field 3 must be a finite number, got '1e999'"),
         "short.csv": ("3\n", "field"),
         "empty.csv": ("# nothing here\n", "no data rows"),
         "headeronly.csv": ("label,e1\n", "no data rows"),
