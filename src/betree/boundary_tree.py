@@ -272,14 +272,17 @@ def walk_block(tree: BoundaryTree, embed, y) -> np.ndarray:
 
     The block is embedded by one embed call and the tree's rows are filled
     once; _walk then descends every row, so each final equals
-    traverse(...).final bitwise, ties included.
+    traverse(tree, embed, y[i], q[i]).final, with q = embed(y), bitwise,
+    ties included. Non-finite rows take the exact path without a numpy
+    warning.
     """
     y = _check_queries(tree, y, (2,), "walk_block")
     if not len(y):
         return np.full(0, tree.root, dtype=np.intp)
-    q = np.asarray(embed(y), dtype=np.float64)
-    fill_embeddings(tree, embed)
-    return _walk(tree, q)[0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        q = np.asarray(embed(y), dtype=np.float64)
+        fill_embeddings(tree, embed)
+        return _walk(tree, q)[0]
 
 
 def _walk(tree: BoundaryTree, q):
@@ -407,7 +410,7 @@ def predict_hard(tree: BoundaryTree, embed, y):
     """Label of the node where the greedy descent stops for a raw query
     vector; for a rank-2 block of queries, one label per row (an empty list
     for no rows). Both go through walk_block, so every label is the one
-    traverse's final node carries."""
+    traverse's final node carries for the same embedded row."""
     y = _check_queries(tree, y, (1, 2), "predict_hard")
     labels = [tree.nodes[i].label for i in walk_block(tree, embed, np.atleast_2d(y)).tolist()]
     return labels[0] if y.ndim == 1 else labels
@@ -436,12 +439,14 @@ def insert_if_wrong(tree: BoundaryTree, embed, query: Sample, y_emb=None) -> boo
     The tree's missing rows are filled once, then the query descends with
     _nearest's decisions, which are traverse's. The query's embedding,
     `y_emb` if the caller has it and embed(y) otherwise, is stored as the
-    new node's row.
+    new node's row. Non-finite rows take the exact path without a numpy
+    warning.
     """
     y = _check_queries(tree, query.features, (1,), "insert_if_wrong")
-    fill_embeddings(tree, embed)
-    row = np.asarray(embed(y) if y_emb is None else y_emb, dtype=np.float64)
-    return _insert(tree, query, row) is not None
+    with np.errstate(invalid="ignore", over="ignore"):
+        fill_embeddings(tree, embed)
+        row = np.asarray(embed(y) if y_emb is None else y_emb, dtype=np.float64)
+        return _insert(tree, query, row) is not None
 
 
 # build_tree walks its pending samples in blocks of this many rows. Longer
@@ -458,12 +463,14 @@ def build_tree(samples, embed, max_children: int | None = None, class_count: int
     becomes the root. The samples are embedded as one row block, and each
     stored sample's row is its query embedding.
 
-    The tree equals one built by a loop of traverse plus add_child. The
-    samples are walked BUILD_BLOCK rows at a time by _walk, and then taken
-    in order. An insert under a node F changes only F's candidate set, and
-    every walk that F changes passed through F, so only the block's later
-    rows that visited F can move; _mark_stale re-checks them. A row marked
-    stale takes the one-row descent of _insert when its turn comes.
+    The tree equals one built by a loop of traverse, fed the block's rows,
+    plus add_child. The samples are walked BUILD_BLOCK rows at a time by
+    _walk, and then taken in order. An insert under a node F changes only
+    F's candidate set, and every walk that F changes passed through F, so
+    only the block's later rows that visited F can move; _mark_stale
+    re-checks them. A row marked stale takes the one-row descent of
+    _insert when its turn comes. Non-finite rows take the exact path
+    without a numpy warning.
     """
     samples = list(samples)
     if not samples:
@@ -473,18 +480,19 @@ def build_tree(samples, embed, max_children: int | None = None, class_count: int
         if s.features.shape != (dim,):
             raise ValueError(f"build_tree: sample {i} has feature length {s.features.shape[0]}, expected {dim}")
     tree = new_tree(samples[0], max_children, class_count)
-    rows = np.asarray(embed(np.array([s.features for s in samples])), dtype=np.float64)
-    tree.reset_embeddings(embed.cache_key)
-    _store_rows(tree, [0], rows[:1])
-    for lo in range(1, len(samples), BUILD_BLOCK):
-        q = rows[lo:lo + BUILD_BLOCK]
-        finals, visits = _walk(tree, q)
-        finals = finals.tolist()
-        stale = np.zeros(len(q), dtype=bool)
-        for i, s in enumerate(samples[lo:lo + len(q)]):
-            node_id = _insert(tree, s, q[i], None if stale[i] else finals[i])
-            if node_id is not None:
-                _mark_stale(tree, node_id, visits, q, i, stale)
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = np.asarray(embed(np.array([s.features for s in samples])), dtype=np.float64)
+        tree.reset_embeddings(embed.cache_key)
+        _store_rows(tree, [0], rows[:1])
+        for lo in range(1, len(samples), BUILD_BLOCK):
+            q = rows[lo:lo + BUILD_BLOCK]
+            finals, visits = _walk(tree, q)
+            finals = finals.tolist()
+            stale = np.zeros(len(q), dtype=bool)
+            for i, s in enumerate(samples[lo:lo + len(q)]):
+                node_id = _insert(tree, s, q[i], None if stale[i] else finals[i])
+                if node_id is not None:
+                    _mark_stale(tree, node_id, visits, q, i, stale)
     return tree
 
 

@@ -3,10 +3,11 @@
 Each traversal decision becomes a softmax over negative embedding distances,
 a root-to-final path gets the product of its transition probabilities, and
 the class prediction aggregates the last decision's candidate mass by label.
-The walk is boundary_tree.traverse itself under the plain embedder; the
-queries and their last decisions' candidates then go on a Tape as one row
-block, and one head node turns that block into the batch's summed
-cross-entropy with a closed-form gradient, so the loss gradient reaches the
+The walk is boundary_tree.traverse itself under the plain embedder. One
+head node then turns the rows the walks compared (the queries' rows and the
+tree's rows of their last decisions' candidates) into the batch's summed
+cross-entropy with a closed-form gradient; the same queries and candidates
+go on a Tape as one row block, whose activations carry that gradient to the
 transform parameters through the queries and through the stored samples
 they aggregate.
 """
@@ -19,7 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transform
-from .boundary_tree import STOP_STAYED, BoundaryTree, Sample, TraceStep, traverse
+from .boundary_tree import (
+    STOP_STAYED,
+    BoundaryTree,
+    Sample,
+    TraceStep,
+    _check_queries,
+    node_embedding,
+    traverse,
+)
 from .tape import DISTANCE_EPS, Tape, l2_value, neg_dist_log_softmax_value
 
 # A structural miss (the true class has no member in the aggregation set)
@@ -31,11 +40,13 @@ MISS_LOSS = -math.log(LOG_FLOOR)
 @dataclass
 class PathTrace:
     """Greedy decision sequence for one raw query, tied to its tree and
-    parameters (None for the identity embedding)."""
+    parameters (None for the identity embedding); `embedded` is the query
+    row the walk compared."""
 
     tree: BoundaryTree
     params: transform.ParameterSet | None
     query: np.ndarray
+    embedded: np.ndarray
     decisions: list[TraceStep]
     final: int
     stop_mode: str
@@ -43,9 +54,10 @@ class PathTrace:
 
 @dataclass
 class LossHead:
-    """The loss head of a query batch at one block value: the summed loss,
-    its gradient with respect to the block, each query's last-decision
-    distances (None without a decision) and the structural-miss count."""
+    """The loss head of a query batch at one block of rows: the summed
+    loss, its gradient with respect to the block, each query's
+    last-decision distances (None without a decision) and the
+    structural-miss count."""
 
     value: np.float64
     grad: np.ndarray
@@ -56,24 +68,30 @@ class LossHead:
 def greedy_path(tree: BoundaryTree, params, y, y_emb=None) -> PathTrace:
     """Soft traversal: boundary_tree.traverse under the plain embedder of
     `params` (identity when params is None). `y_emb` is the query's plain
-    embedding when the caller already has it."""
+    embedding when the caller already has it; the walk compares it, or
+    the query's one-row embedding, and the trace keeps it."""
     embedder = transform.identity_embedder() if params is None else transform.make_embedder(params)
+    if y_emb is None:
+        y_emb = embedder(_check_queries(tree, y, (1,), "greedy_path"))
     trace = traverse(tree, embedder, y, y_emb)
-    return PathTrace(tree, params, np.asarray(y, dtype=np.float64),
+    return PathTrace(tree, params, np.asarray(y, dtype=np.float64), np.asarray(y_emb),
                      trace.steps, trace.final, trace.stop_mode)
 
 
-def embed_paths(tape: Tape, traces: list[PathTrace]) -> tuple[int, list[list[int]]]:
-    """Put one row block on `tape`; returns its ref and, per trace, the
-    block rows of its last decision's candidates in candidate order (empty
-    without a decision).
+def embed_paths(tape: Tape, traces: list[PathTrace]) -> tuple[int, np.ndarray, list[list[int]]]:
+    """Put one row block on `tape`. Returns its ref, the walked block and,
+    per trace, the block rows of its last decision's candidates in
+    candidate order (empty without a decision).
 
     The block holds the k queries, then the union of their last decisions'
-    candidates in first-seen order, each node once, embedded by a single
-    transform.forward (a constant when params is None), so one backward
-    pass reaches the parameters with one weight-gradient product per
-    layer. Every row is bitwise the plain embedder's, so the walks are the
-    ones the loss differentiates.
+    candidates in first-seen order, each node once. The walked block holds
+    the rows the walks compared: each trace's `embedded` row, then the
+    tree's rows of the union. On the tape, the raw features of the same
+    queries and nodes are embedded by a single transform.forward, so one
+    backward pass reaches the parameters with one weight-gradient product
+    per layer; its rows agree with the walked ones to rounding (see
+    tape.affine). With params None the tape block is the walked block, a
+    constant.
     """
     first = traces[0]
     tree, params = first.tree, first.params
@@ -84,10 +102,18 @@ def embed_paths(tape: Tape, traces: list[PathTrace]) -> tuple[int, list[list[int
         if t.decisions:
             for c in t.decisions[-1].candidates:
                 row_of.setdefault(c, len(traces) + len(row_of))
-    block = np.array([*(t.query for t in traces), *(tree.nodes[c].sample.features for c in row_of)])
-    ref = tape.constant(block) if params is None else transform.forward(tape, params, block)
-    return ref, [[row_of[c] for c in t.decisions[-1].candidates] if t.decisions else []
-                 for t in traces]
+    embedder = transform.identity_embedder() if params is None else transform.make_embedder(params)
+    union = list(row_of)
+    walked = np.array([t.embedded for t in traces])
+    if union:
+        walked = np.concatenate([walked, node_embedding(tree, union, embedder)])
+    if params is None:
+        ref = tape.constant(walked)
+    else:
+        raw = np.array([*(t.query for t in traces), *(tree.nodes[c].sample.features for c in union)])
+        ref = transform.forward(tape, params, raw)
+    return ref, walked, [[row_of[c] for c in t.decisions[-1].candidates] if t.decisions else []
+                         for t in traces]
 
 
 def path_log_prob(trace: PathTrace) -> float:
@@ -139,7 +165,10 @@ def class_probs(trace: PathTrace) -> np.ndarray:
 def loss_head(block: np.ndarray, rows: list[list[int]], traces: list[PathTrace],
               labels) -> LossHead:
     """Summed cross-entropy of the traces' class masses, read off `block`
-    (embed_paths' value, with its `rows`), and its closed-form gradient.
+    (embed_paths' walked block, with its `rows`), and its closed-form
+    gradient with respect to the block. Each query's distances are
+    l2_value over the rows its walk compared, so they are bitwise its last
+    decision's.
 
     For query i with aggregation set A and true-class part A∩c of its last
     decision's candidates, the loss is logsumexp_A(-d) - logsumexp_{A∩c}(-d)
@@ -185,21 +214,28 @@ def loss_head(block: np.ndarray, rows: list[list[int]], traces: list[PathTrace],
 
 def batch_loss(tape: Tape, traces: list[PathTrace], labels) -> tuple[int, LossHead]:
     """The traces' summed loss as one tape node over embed_paths' block;
-    returns its ref and the LossHead behind it."""
+    returns its ref and the LossHead behind it.
+
+    The head reads the walked block, so its value and gradient are those
+    of the rows the walks compared; the tape block supplies the
+    activations through which backward() carries that gradient to the
+    parameters.
+    """
     class_count = traces[0].tree.class_count
     for y in labels:
         if not 0 <= y < class_count:
             raise ValueError(f"true label {y} outside [0, {class_count})")
-    block, rows = embed_paths(tape, traces)
-    head = loss_head(tape.value(block), rows, traces, labels)
+    block, walked, rows = embed_paths(tape, traces)
+    head = loss_head(walked, rows, traces, labels)
     return tape.push(head.value, (block,), lambda g: (g * head.grad,)), head
 
 
 def loss_and_grad(tree: BoundaryTree, params: transform.ParameterSet, samples):
     """One gradient step's loss over one Sample or a batch of them, on a
     fresh tape: the queries are embedded plain as one block for their
-    greedy_path walks, batch_loss puts the block and the head on, and one
-    backward from the head gives the gradient.
+    greedy_path walks, batch_loss computes the head from those rows and the
+    tree's and puts the tape block and the head on, and one backward from
+    the head gives the gradient.
 
     Returns (mean loss value, mean gradient ParameterSet, structural-miss
     count over the batch). Parameters are not mutated; the tape is

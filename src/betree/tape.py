@@ -29,15 +29,14 @@ class ShapeError(ValueError):
 def affine(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """w @ x + b for a rank-1 `x`, or for each row of a rank-2 `x`.
 
-    The single affine kernel, shared by the tape op and plain embedding. A
-    row block goes through np.matmul as a stack of (n, 1) columns, which
-    numpy evaluates as one matrix-vector product per row, so every row is
-    bitwise equal to the one-row call. A GEMM over the block (x @ w.T) is
-    not: it changes the last bits of nearly every row.
+    The single affine kernel, shared by the tape op and plain embedding:
+    one GEMM, x @ w.T + b, for one row and for a row block alike. The BLAS
+    kernel's summation order depends on the block's shape (and on the BLAS
+    thread count), so a block row agrees with the one-row call only to
+    rounding; a result that must be bitwise another's reuses its rows
+    instead of embedding them again.
     """
-    if x.ndim == 1:
-        return w @ x + b
-    return np.matmul(w, x[:, :, None])[:, :, 0] + b
+    return x @ w.T + b
 
 
 def l2_value(a: np.ndarray, b: np.ndarray):

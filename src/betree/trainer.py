@@ -131,7 +131,8 @@ def converged(log: TrainLog, threshold: float) -> bool:
 def hard_error(tree: BoundaryTree, embedder, samples) -> float:
     """Fraction of samples the tree misclassifies (0.0 for no samples). The
     samples go through predict_hard as one block: embedded by one call and
-    walked level by level, with the labels per-query traverse would give."""
+    walked level by level, with the labels per-query traverse would give
+    for the same embedded rows."""
     if not samples:
         return 0.0
     return _block_error(tree, embedder, *_stack(samples))

@@ -146,7 +146,8 @@ def forward(tape: Tape, params: ParameterSet, x) -> int:
 
 def embed(params: ParameterSet, x) -> np.ndarray:
     """Plain forward pass over one row or a row block, bitwise identical to
-    the tape version; every row of a block equals its one-row embedding."""
+    the tape version of the same input. A block row agrees with its
+    one-row embedding only to rounding (see tape.affine)."""
     h = np.asarray(x, dtype=np.float64)
     _check_input("embed", params, h)
     last = len(params.weights) - 1

@@ -5,6 +5,8 @@ are deliberately separate (and differently structured) computations that the
 library must agree with.
 """
 
+import math
+
 import numpy as np
 
 
@@ -152,3 +154,48 @@ def fd_gradient(f, x, step=1e-6):
         xm.flat[k] -= step
         g.flat[k] = (f(xp) - f(xm)) / (2 * step)
     return g
+
+
+def gamma(n):
+    """gamma_n = n u / (1 - n u), u = eps / 2: the relative error bound of
+    an n-term float sum or dot product in any summation order."""
+    u = np.finfo(np.float64).eps / 2
+    return n * u / (1 - n * u)
+
+
+def ref_affine(w, x, b):
+    """w @ row + b for each row of `x`, entry by entry: math.fsum (correctly
+    rounded) of the rounded products and the bias."""
+    x = np.atleast_2d(x)
+    wb = np.hstack([w, b[:, None]])
+    xb = np.hstack([x, np.ones((len(x), 1))])
+    return np.array([list(map(math.fsum, (wb * row).tolist())) for row in xb])
+
+
+def affine_error_bound(w, x, b):
+    """Entrywise bound on the distance from any float evaluation of
+    w @ row + b (any summation order, FMA included) to ref_affine's value:
+    gamma_(n+1) (|x| |w|^T + |b|) for the evaluation, plus 2u of the same
+    for the reference's rounded products and its final rounding, so
+    gamma_(n+3) covers both."""
+    return gamma(w.shape[1] + 3) * (np.abs(np.atleast_2d(x)) @ np.abs(w).T + np.abs(b))
+
+
+def mlp_error_bound(weights, biases, activation, x):
+    """Entrywise bound on the distance from any float evaluation of the MLP
+    at the rows of `x` to the exact one. Layer by layer, with h this
+    function's own computed input and e the bound on any evaluation's
+    input (so within 2e of h),
+      e' = gamma_(n+3) ((|h| + 2e) |W|^T + |b|) + e |W|^T,
+    and relu and tanh are 1-Lipschitz, so e carries through them. Two
+    evaluations differ by at most twice the result."""
+    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    e = np.zeros_like(h)
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        aw = np.abs(w)
+        e = gamma(w.shape[1] + 3) * ((np.abs(h) + 2 * e) @ aw.T + np.abs(b)) + e @ aw.T
+        h = h @ w.T + b
+        if i < last:
+            h = np.maximum(h, 0.0) if activation == "relu" else np.tanh(h)
+    return e

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -305,29 +306,35 @@ def test_embedding_matrix_grows_and_traverse_matches_per_candidate_replay():
 
 def test_build_tree_stores_query_rows_and_block_queries_match_one_by_one():
     # build_tree embeds its samples as one block and stores each inserted
-    # sample's query row; predict_hard embeds a query block once. Both must
-    # equal the one-row path bitwise.
+    # sample's query row; predict_hard embeds a query block once. Fed the
+    # same block rows, the one-row paths (an insert_if_wrong loop and
+    # per-query traverse) give the same tree, rows and walks, bitwise.
     rng = np.random.default_rng(107)
     params = init_params(MlpArchitecture((3, 8, 8, 2), "tanh"), 108)
     embedder = make_embedder(params)
     samples = random_samples(rng, 150, 3, 3)
+    rows = embedder(np.array([s.features for s in samples]))
     tree = build_tree(samples, embedder, 3, 3)
     replay = new_tree(samples[0], 3, 3)
-    for s in samples[1:]:
-        insert_if_wrong(replay, embedder, s)
+    replay.reset_embeddings(embedder.cache_key)
+    boundary_tree._store_rows(replay, [0], rows[:1])
+    for s, row in zip(samples[1:], rows[1:]):
+        insert_if_wrong(replay, embedder, s, row)
     assert [(n.parent, n.label) for n in tree.nodes] == [(n.parent, n.label) for n in replay.nodes]
     assert tree.emb_key == embedder.cache_key and tree.emb_valid[:len(tree)].all()
-    for node in tree.nodes:
-        assert tree.emb[node.id].tobytes() == embed(params, node.sample.features).tobytes()
-    rows = tree.emb[:len(tree)]
-    assert np.array_equal(tree.sq[:len(tree)], np.einsum("ij,ij->i", rows, rows))
+    index = {id(s): i for i, s in enumerate(samples)}
+    want = rows[[index[id(node.sample)] for node in tree.nodes]]
+    assert tree.emb[:len(tree)].tobytes() == replay.emb[:len(replay)].tobytes() == want.tobytes()
+    assert np.array_equal(tree.sq[:len(tree)], np.einsum("ij,ij->i", want, want))
 
     queries = rng.normal(size=(40, 3))
+    q_rows = embedder(queries)
     labels = predict_hard(tree, embedder, queries)
-    assert labels == [predict_hard(replay, embedder, q) for q in queries]
-    for q in queries[:10]:
-        a = traverse(tree, embedder, q, embed(params, q))
-        b = traverse(replay, embedder, q)
+    assert labels == [replay.nodes[traverse(replay, embedder, q, r).final].label
+                      for q, r in zip(queries, q_rows)]
+    for q, r in zip(queries[:10], q_rows):
+        a = traverse(tree, embedder, q, r)
+        b = traverse(replay, embedder, q, r)
         assert (a.visited, a.final, a.stop_mode) == (b.visited, b.final, b.stop_mode)
         assert all(x.distances.tobytes() == y.distances.tobytes() for x, y in zip(a.steps, b.steps))
 
@@ -342,8 +349,10 @@ def _blobs784(rng, n):
 
 
 def _assert_block_walk_matches_traverse(tree, embedder, queries):
+    # traverse is fed the block's query rows: a GEMM block row and a
+    # one-row embedding agree only to rounding
     finals = walk_block(tree, embedder, queries)
-    expected = [traverse(tree, embedder, q).final for q in queries]
+    expected = [traverse(tree, embedder, q, r).final for q, r in zip(queries, embedder(queries))]
     assert finals.dtype == np.intp and np.array_equal(finals, expected)
     assert predict_hard(tree, embedder, queries) == [tree.nodes[i].label for i in expected]
 
@@ -427,9 +436,25 @@ def _reference_build(samples, embedder, max_children, class_count, block=None):
     return tree, changed
 
 
+def _block_rows(embedder, samples):
+    """An embedder with `embedder`'s stamp that gives each sample's features
+    their row of one embedder call over all of them, the rows build_tree
+    stores: a GEMM block row and a one-row embedding agree only to
+    rounding, so the one-row oracle reuses the block's rows."""
+    rows = embedder(np.array([s.features for s in samples]))
+    table = {s.features.tobytes(): r for s, r in zip(samples, rows)}
+
+    def lookup(x):
+        x = np.asarray(x)
+        return table[x.tobytes()] if x.ndim == 1 else np.array([table[r.tobytes()] for r in x])
+
+    lookup.cache_key = embedder.cache_key
+    return lookup
+
+
 def _assert_build_matches_traverse(samples, embedder, max_children, class_count):
     tree = build_tree(samples, embedder, max_children, class_count)
-    reference, _ = _reference_build(samples, embedder, max_children, class_count)
+    reference, _ = _reference_build(samples, _block_rows(embedder, samples), max_children, class_count)
     assert [(n.parent, n.label) for n in tree.nodes] == [(n.parent, n.label) for n in reference.nodes]
     return tree
 
@@ -508,6 +533,37 @@ def test_block_build_equals_traverse_loop_and_rewalks_only_changed_rows(data, ma
         assert changed == 0
     elif block == 1000 and max_children == 1:
         assert changed > 0
+
+
+@pytest.mark.parametrize("path", sorted(SCREEN_PATHS))
+@pytest.mark.parametrize("max_children", [None, 2])
+def test_nonfinite_build_walk_and_insert_emit_no_warning(max_children, path, monkeypatch):
+    # build_tree, walk_block and insert_if_wrong each silence numpy's
+    # floating-point warnings once per call. NaN, infinite and overflowing
+    # rows take the exact path, so their trees and finals stay those of the
+    # traverse + add_child loop (which still warns, so it runs outside).
+    monkeypatch.setattr(boundary_tree, "SCREEN_MIN_WIDTH", SCREEN_PATHS[path])
+    rng = np.random.default_rng(126)
+    samples = _nonfinite_samples(rng, 300)
+    samples = [Sample(np.where(rng.random(3) < 0.02, 1e200, s.features), s.label) if i else s
+               for i, s in enumerate(samples)]
+    train, queries = samples[:200], np.array([s.features for s in samples[200:]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        reference, _ = _reference_build(train, IDENT, max_children, 3)
+        expected = [traverse(reference, IDENT, q).final for q in queries]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree = build_tree(train, IDENT, max_children, 3)
+        finals = walk_block(tree, IDENT, queries)
+        grown = new_tree(train[0], max_children, 3)
+        for s in train[1:]:
+            insert_if_wrong(grown, IDENT, s)
+    shape = [(n.parent, n.label) for n in reference.nodes]
+    assert len(tree) > 10
+    assert [(n.parent, n.label) for n in tree.nodes] == shape
+    assert [(n.parent, n.label) for n in grown.nodes] == shape
+    assert finals.tolist() == expected
 
 
 @pytest.mark.parametrize("path", sorted(SCREEN_PATHS))

@@ -143,12 +143,12 @@ def test_tanh_checkpoint_evaluates_without_an_activation_flag(tmp_path, capsys):
     out = tmp_path / "emb.csv"
     assert run(["dump-embeddings", "--dataset", "halfmoons", "--n", "80", "--seed", "1",
                 "--checkpoint", str(ckpt), "--out", str(out)]) == 0
-    samples = gen_half_moons(80, 0.1, 1).samples
-    dumped = load_embedding_csv(out).samples
-    assert all(np.array_equal(d.features, embed(params, s.features)) for s, d in zip(samples, dumped))
+    # the CLI embeds the dataset as one block
+    block = np.array([s.features for s in gen_half_moons(80, 0.1, 1).samples])
+    dumped = np.array([d.features for d in load_embedding_csv(out).samples])
+    assert np.array_equal(dumped, embed(params, block))
     as_relu = ParameterSet(MlpArchitecture((2, 6, 2), "relu"), params.flat)
-    assert any(not np.array_equal(d.features, embed(as_relu, s.features))
-               for s, d in zip(samples, dumped))
+    assert not np.array_equal(dumped, embed(as_relu, block))
 
     assert run(["eval", "--dataset", "halfmoons", "--n", "80", "--seed", "1",
                 "--checkpoint", str(ckpt)]) == 0
@@ -339,6 +339,7 @@ def test_dump_embeddings_applies_checkpoint(tmp_path):
     data = gen_half_moons(15, 0.1, 8)
     dumped = load_embedding_csv(out)
     assert dumped.feature_dim == 3 and len(dumped) == 15
-    for s, d in zip(data.samples, dumped.samples):
-        assert s.label == d.label
-        assert np.array_equal(d.features, embed(params, s.features))
+    assert [s.label for s in data.samples] == [d.label for d in dumped.samples]
+    # the CLI embeds the dataset as one block
+    want = embed(params, np.array([s.features for s in data.samples]))
+    assert np.array_equal(np.array([d.features for d in dumped.samples]), want)

@@ -340,11 +340,17 @@ def test_batch_step_is_the_mean_of_per_query_steps():
         for _ in range(5):
             tree, params, batch = _batch_case(rng, k)
             value, grads, clamps = loss_and_grad(tree, params, batch)
+            # every per-query loss is bitwise its single-query head at the
+            # query row the batch walked, summed in batch order
+            rows = make_embedder(params)(np.array([s.features for s in batch]))
+            heads = [batch_loss(Tape(), [greedy_path(tree, params, s.features, r)], [s.label])[1]
+                     for s, r in zip(batch, rows)]
+            assert value == sum(float(h.value) for h in heads) / k
+            # a single step embeds its query alone, which moves its row, and
+            # so its loss and gradient, by rounding only
             singles = [loss_and_grad(tree, params, s) for s in batch]
-            # every per-query loss is bitwise its single-query value, summed in
-            # batch order
-            assert value == sum(v for v, _, _ in singles) / k
-            assert clamps == sum(c for _, _, c in singles)
+            assert abs(value - sum(v for v, _, _ in singles) / k) <= 1e-12 * max(1.0, value)
+            assert clamps == sum(c for _, _, c in singles) == sum(h.misses for h in heads)
             mean = sum(g.flat for _, g, _ in singles) / k
             assert np.max(np.abs(grads.flat - mean)) <= 1e-12 * np.max(np.abs(mean))
 
@@ -390,20 +396,47 @@ def test_embed_paths_block_is_queries_then_candidate_union():
             tree, params, batch = _batch_case(rng, k)
             tape = Tape()
             traces = [greedy_path(tree, params, s.features) for s in batch]
-            ref, cand_rows = embed_paths(tape, traces)
+            ref, walked, cand_rows = embed_paths(tape, traces)
             block = tape.value(ref)
             union = []
             for t in traces:
                 if t.decisions:
                     union += [c for c in t.decisions[-1].candidates if c not in union]
             rows = [s.features for s in batch] + [tree.nodes[c].sample.features for c in union]
-            assert block.shape == (k + len(union), params.arch.out_dim)
+            assert block.shape == walked.shape == (k + len(union), params.arch.out_dim)
             assert block.tobytes() == embed(params, np.array(rows)).tobytes()
+            # the walked block holds the rows the walks compared
+            want = np.concatenate([[t.embedded for t in traces], tree.emb[union]])
+            assert walked.tobytes() == want.tobytes()
             for t, r in zip(traces, cand_rows):
                 if t.decisions:
                     assert r == [k + union.index(c) for c in t.decisions[-1].candidates]
                 else:
                     assert r == []
+
+
+@pytest.mark.parametrize("use_mlp", [False, True])
+def test_head_distances_are_the_walks_last_distances(use_mlp):
+    # The head reads the rows the walks compared (the query block of
+    # loss_and_grad, then the tree's rows), not the tape block, so every
+    # query's distances are bitwise its walk's last decision's.
+    rng = np.random.default_rng(215)
+    for k in (1, 5, 20):
+        for _ in range(4):
+            tree, params, batch = _batch_case(rng, k)
+            if not use_mlp:
+                params = None
+                tree = random_tree(rng, n_range=(2, 20), dim=3, class_count=tree.class_count,
+                                   max_children=tree.max_children)
+            embedder = IDENT if params is None else make_embedder(params)
+            rows = embedder(np.array([s.features for s in batch]))
+            traces = [greedy_path(tree, params, s.features, r) for s, r in zip(batch, rows)]
+            _, head = batch_loss(Tape(), traces, [s.label for s in batch])
+            for t, d in zip(traces, head.distances):
+                if t.decisions:
+                    assert d.tobytes() == t.decisions[-1].distances.tobytes()
+                else:
+                    assert d is None
 
 
 def test_embed_paths_rejects_traces_of_different_trees():
@@ -568,14 +601,13 @@ def test_present_true_class_below_the_floor_gets_the_exact_log_ratio():
     assert abs(head.value - want) <= 1e-12 * want and head.value > MISS_LOSS
     assert abs(head.value - (101.0 + math.log1p(math.exp(-101.0)))) <= 1e-12 * want
 
-    tape = Tape()
-    ref, rows = embed_paths(tape, [pt])
+    _, walked, rows = embed_paths(Tape(), [pt])
 
     def build_loss(t, refs):
         h = loss_head(t.value(refs[0]), rows, [pt], [1])
         return t.push(h.value, (refs[0],), lambda g: (g * h.grad,))
 
-    assert grad_check(build_loss, [tape.value(ref)], step=1e-5) < 1e-6
+    assert grad_check(build_loss, [walked], step=1e-5) < 1e-6
 
 
 # ---- predict_soft vs predict_hard ---------------------------------------------

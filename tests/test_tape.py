@@ -18,7 +18,7 @@ from betree.tape import (
     neg_dist_log_softmax_value,
 )
 from helpers import tape_sum
-from oracles import fd_gradient, softmax_neg
+from oracles import affine_error_bound, fd_gradient, ref_affine, softmax_neg
 
 
 def test_leaf_and_constant_hold_values():
@@ -86,7 +86,11 @@ def test_matmul_add_gradients_match_fd():
         assert np.allclose(grads[ref], fd_gradient(f, arr), atol=1e-7)
 
 
-def test_affine_block_rows_equal_one_row_calls_bitwise():
+def test_affine_block_rows_agree_with_one_row_calls_to_rounding():
+    # One GEMM for a block and for one row: the BLAS summation order
+    # follows the block's shape, so a block row and its one-row call are
+    # two float evaluations of the same entries, each within the rounding
+    # bound of the reference.
     rng = np.random.default_rng(8)
     for m, n in ((1, 1), (3, 2), (100, 2), (30, 100), (400, 784), (20, 400)):
         w, b = rng.normal(size=(m, n)), rng.normal(size=m)
@@ -94,7 +98,25 @@ def test_affine_block_rows_equal_one_row_calls_bitwise():
             x = rng.normal(size=(k, n))
             block = affine(w, x, b)
             assert block.shape == (k, m)
-            assert block.tobytes() == np.array([w @ row + b for row in x]).tobytes()
+            rows = np.array([affine(w, row, b) for row in x])
+            assert np.all(np.abs(block - rows) <= 2 * affine_error_bound(w, x, b))
+
+
+@pytest.mark.parametrize("sizes", [(784, 400, 400, 20), (2, 100, 100, 30, 2)])
+def test_affine_entries_match_an_fsum_reference(sizes):
+    # Every entry against an independent per-entry math.fsum of the
+    # products and the bias, within the dot-product error bound. A wrong
+    # transpose (the 400 x 400 and 100 x 100 layers are square) or bias
+    # broadcast is off by O(1), far outside it.
+    rng = np.random.default_rng(len(sizes))
+    for n, m in zip(sizes[:-1], sizes[1:]):
+        w, b, x = rng.normal(size=(m, n)), rng.normal(size=m), rng.normal(size=(200, n))
+        want, bound = ref_affine(w, x, b), affine_error_bound(w, x, b)
+        assert np.all(np.abs(affine(w, x[0], b) - want[0]) <= bound[0])
+        for k in (1, 2, 17, 200):
+            got = affine(w, x[:k], b)
+            assert got.shape == (k, m)
+            assert np.all(np.abs(got - want[:k]) <= bound[:k])
 
 
 def test_matmul_add_block_value_and_shape_errors():
@@ -206,9 +228,8 @@ def _head_case(points, labels, query):
     for p, y in zip(points[1:], labels[1:]):
         tree.add_child(0, Sample(p, y))
     pt = greedy_path(tree, None, query)
-    tape = Tape()
-    ref, rows = embed_paths(tape, [pt])
-    return pt, tape.value(ref), rows
+    _, walked, rows = embed_paths(Tape(), [pt])
+    return pt, walked, rows
 
 
 def _head_value(pt, rows, label):
