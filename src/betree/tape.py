@@ -66,7 +66,7 @@ def neg_dist_log_softmax_value(dists: np.ndarray) -> np.ndarray:
 
 
 class _Node:
-    __slots__ = ("value", "parents", "vjp", "constant")
+    __slots__ = ("value", "parents", "vjp", "constant", "into", "armed")
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = value
@@ -75,6 +75,20 @@ class _Node:
         # parent that needs none.
         self.vjp = vjp
         self.constant = False
+        # A leaf's gradient destination (see Tape.leaf), and whether the
+        # current backward sweep may still write it.
+        self.into = None
+        self.armed = False
+
+
+def _land(node: _Node, op, *args, **kwargs):
+    """op(*args, **kwargs), written into `node`'s gradient destination if
+    this backward sweep has not written it yet (the result is then that
+    array), else into a fresh array."""
+    if not node.armed:
+        return op(*args, **kwargs)
+    node.armed = False
+    return op(*args, out=node.into, **kwargs)
 
 
 class Tape:
@@ -84,9 +98,10 @@ class Tape:
         self.nodes: list[_Node] = []
         self.leaf_refs: list[int] = []
         self.grads: list = []
-        # ParameterSet id -> per-layer leaf refs; lets every forward pass on
-        # this tape reuse the same parameter leaves (see transform.bind_params).
-        self.bound_params: dict[int, list] = {}
+        # ParameterSet id -> (per-layer leaf refs, gradient vector); lets
+        # every forward pass on this tape reuse the same parameter leaves
+        # (see transform.bind_params).
+        self.bound_params: dict[int, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -102,12 +117,21 @@ class Tape:
 
     # ---- inputs ----------------------------------------------------------
 
-    def leaf(self, array) -> int:
-        """Register an input with a gradient slot reported by backward()."""
+    def leaf(self, array, into: np.ndarray | None = None) -> int:
+        """Register an input with a gradient slot reported by backward().
+
+        `into`, an array of the input's shape, lets an op that supports it
+        (matmul_add) write the first gradient contribution of each backward
+        sweep there instead of into a fresh array; backward() then reports
+        `into` itself as the gradient whenever nothing else added to it.
+        """
         arr = np.asarray(array, dtype=np.float64)
         if arr.ndim > 2:
             raise ShapeError(f"leaf: rank {arr.ndim} unsupported, expected rank 0..2")
+        if into is not None and into.shape != arr.shape:
+            raise ShapeError(f"leaf: gradient destination shape {into.shape} does not match {arr.shape}")
         ref = self.push(arr)
+        self.nodes[ref].into = into
         self.leaf_refs.append(ref)
         return ref
 
@@ -125,10 +149,14 @@ class Tape:
 
     def matmul_add(self, w: int, x: int, b: int) -> int:
         """Affine map w @ x + b (see affine) with rank-2 w, rank-1 b, and a
-        rank-1 x or a rank-2 row block x."""
-        wv = self.nodes[w].value
+        rank-1 x or a rank-2 row block x.
+
+        The weight and bias gradients are written into the leaves'
+        gradient destinations when they have one (see leaf)."""
+        wnode, bnode = self.nodes[w], self.nodes[b]
+        wv = wnode.value
         xv = self.nodes[x].value
-        bv = self.nodes[b].value
+        bv = bnode.value
         if wv.ndim != 2:
             raise ShapeError(f"matmul_add weight: expected rank 2, got shape {np.shape(wv)}")
         m, n = wv.shape
@@ -141,9 +169,13 @@ class Tape:
 
         def vjp(g):
             # One matrix product for the weight gradient of the whole block;
-            # a constant input (the raw features) gets no gradient.
+            # a constant input (the raw features) gets no gradient. The
+            # closure holds the parameter nodes, never the tape, so a tape
+            # is freed without waiting for the cyclic collector.
             g2 = np.atleast_2d(g)
-            return g2.T @ np.atleast_2d(xv), None if x_constant else g @ wv, g2.sum(axis=0)
+            return (_land(wnode, np.matmul, g2.T, np.atleast_2d(xv)),
+                    None if x_constant else g @ wv,
+                    _land(bnode, np.sum, g2, axis=0))
 
         return self.push(out, (w, x, b), vjp)
 
@@ -172,11 +204,16 @@ class Tape:
         """Reverse sweep from a scalar loss node.
 
         Fills the per-node gradient slots and returns a map from every leaf
-        ref to its gradient; leaves unreachable from the loss get zeros.
+        ref to its gradient; leaves unreachable from the loss get zeros. A
+        leaf's gradient may be its `into` array (see leaf), which the next
+        sweep overwrites.
         """
         lnode = self.nodes[loss]
         if np.ndim(lnode.value) != 0:
             raise ShapeError(f"backward: loss must be scalar, got shape {np.shape(lnode.value)}")
+        for ref in self.leaf_refs:
+            node = self.nodes[ref]
+            node.armed = node.into is not None
         grads: list = [None] * len(self.nodes)
         grads[loss] = np.float64(1.0)
         for i in range(loss, -1, -1):

@@ -53,6 +53,13 @@ class TrainConfig:
             raise ValueError("convergence_rel_threshold must be > 0")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
 
 @dataclass

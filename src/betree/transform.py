@@ -109,13 +109,18 @@ def bind_params(tape: Tape, params: ParameterSet) -> list[tuple[int, int]]:
 
     All forward passes on one tape share these refs, so the backward sweep
     accumulates gradients across the query and every stored sample it was
-    compared against.
+    compared against. The pair also gets one gradient vector in the
+    parameter layout, allocated here: each leaf's gradient destination is
+    its view of that vector, so matmul_add's backward writes the weight and
+    bias gradients straight into it (see Tape.leaf and collect_param_grads).
     """
-    refs = tape.bound_params.get(id(params))
-    if refs is None:
-        refs = [(tape.leaf(w), tape.leaf(b)) for w, b in zip(params.weights, params.biases)]
-        tape.bound_params[id(params)] = refs
-    return refs
+    bound = tape.bound_params.get(id(params))
+    if bound is None:
+        grads = ParameterSet(params.arch, np.empty(params.arch.n_params))
+        refs = [(tape.leaf(w, into=gw), tape.leaf(b, into=gb))
+                for w, b, gw, gb in zip(params.weights, params.biases, grads.weights, grads.biases)]
+        bound = tape.bound_params[id(params)] = refs, grads
+    return bound[0]
 
 
 def forward_from_refs(tape: Tape, layer_refs, activation: str, x) -> int:
@@ -182,18 +187,35 @@ def identity_embedder():
 
 
 def collect_param_grads(tape: Tape, params: ParameterSet, grad_map) -> ParameterSet:
-    """Pick this ParameterSet's gradients out of a backward() leaf map, in
-    the parameter layout."""
+    """This ParameterSet's gradients from a backward() leaf map, in the
+    parameter layout: the tape's gradient vector (see bind_params).
+
+    Most gradients are already there, written by matmul_add's backward; one
+    is copied in only where it did not land in place, as when several
+    forwards on one tape accumulate into a leaf or a leaf is unreachable
+    from the loss. A later backward on the same tape rewrites the vector.
+    """
     refs = bind_params(tape, params)
-    flat = np.concatenate([np.ravel(grad_map[r]) for pair in refs for r in pair])
-    return ParameterSet(params.arch, flat)
+    grads = tape.bound_params[id(params)][1]
+    for (w, b), gw, gb in zip(refs, grads.weights, grads.biases):
+        for ref, view in ((w, gw), (b, gb)):
+            if grad_map[ref] is not view:
+                view[...] = grad_map[ref]
+    return grads
+
+
+# adam_step walks the parameter vector in slices of this many floats, so
+# each slice's operands stay in cache across its operations.
+ADAM_BLOCK = 32768
 
 
 @dataclass
 class AdamState:
     """First/second-moment vectors in the parameter layout, plus the step
     counter; adam_step updates all three in place. `work` holds two
-    scratch vectors of the same length that adam_step reuses every step."""
+    scratch vectors of one block (ADAM_BLOCK floats, or the parameter
+    count if smaller) that adam_step reuses for every block of every
+    step."""
 
     m: np.ndarray
     v: np.ndarray
@@ -205,7 +227,7 @@ class AdamState:
     work: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.work = np.empty((2, len(self.m)))
+        self.work = np.empty((2, min(ADAM_BLOCK, len(self.m))))
 
     @classmethod
     def fresh(cls, params: ParameterSet, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> "AdamState":
@@ -229,25 +251,31 @@ def adam_step(params: ParameterSet, grads: ParameterSet, state: AdamState) -> Pa
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    # Every temporary lives in state.work: fresh vectors every step cost
-    # time and fragment the heap. The operations and their order are those
-    # of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-    # flat - lr (m / bc1) / (sqrt(v / bc2) + eps), so the result is bitwise
-    # that of the plain expressions.
-    g, m, v = grads.flat, state.m, state.v
-    a, b = state.work
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=a)
-    v *= state.beta2
-    np.multiply(g, g, out=a)
-    v += np.multiply(a, 1.0 - state.beta2, out=a)
-    np.divide(m, bc1, out=a)
-    a *= state.lr
-    np.divide(v, bc2, out=b)
-    np.sqrt(b, out=b)
-    b += state.eps
-    a /= b
-    return ParameterSet(params.arch, np.subtract(params.flat, a))
+    # One ADAM_BLOCK slice at a time, with every temporary in state.work:
+    # a slice's operands stay in cache across its operations, where whole
+    # vectors would stream through memory once per operation. The
+    # operations and their order are those of m = b1 m + (1 - b1) g,
+    # v = b2 v + (1 - b2) g^2 and flat - lr (m / bc1) / (sqrt(v / bc2) + eps),
+    # all elementwise, so the result is bitwise that of the plain
+    # expressions.
+    out = np.empty_like(params.flat)
+    for lo in range(0, len(out), ADAM_BLOCK):
+        hi = lo + ADAM_BLOCK
+        g, m, v = grads.flat[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        a, b = state.work[:, :len(g)]
+        m *= state.beta1
+        m += np.multiply(g, 1.0 - state.beta1, out=a)
+        v *= state.beta2
+        np.multiply(g, g, out=a)
+        v += np.multiply(a, 1.0 - state.beta2, out=a)
+        np.divide(m, bc1, out=a)
+        a *= state.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        a /= b
+        np.subtract(params.flat[lo:hi], a, out=out[lo:hi])
+    return ParameterSet(params.arch, out)
 
 
 # ---- checkpoint files ------------------------------------------------------

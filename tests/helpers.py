@@ -117,12 +117,14 @@ def general_position_case(rng, n_range=(3, 10), out_dims=(2, 8)):
 
 def bind_as_leaves(tape, arch, weight_refs, bias_refs):
     """ParameterSet whose tape bindings are existing leaf refs, so grad_check
-    can differentiate the full pipeline with respect to them."""
+    can differentiate the full pipeline with respect to them. Those leaves
+    have no gradient destination, so the binding's gradient vector only
+    receives copies (see collect_param_grads)."""
     from betree.transform import ParameterSet
 
     pairs = list(zip(weight_refs, bias_refs))
     params = ParameterSet(arch, np.concatenate([np.ravel(tape.value(r)) for pair in pairs for r in pair]))
-    tape.bound_params[id(params)] = pairs
+    tape.bound_params[id(params)] = pairs, ParameterSet(arch, np.zeros(arch.n_params))
     return params
 
 

@@ -160,6 +160,18 @@ def test_tanh_checkpoint_evaluates_without_an_activation_flag(tmp_path, capsys):
         assert err.value.code == 3
 
 
+@pytest.mark.parametrize("lr", ["-1", "0", "nan", "inf"])
+def test_train_rejects_bad_learning_rate(tmp_path, capsys, lr):
+    # refused before any step: no gradient ascent, no one-step divergence
+    ckpt = tmp_path / "model.ckpt"
+    code = run(FAST_TRAIN + ["--lr", lr, "--checkpoint-out", str(ckpt),
+                             "--log", str(tmp_path / "log.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lr must be finite and > 0") and "diverged" not in err
+    assert not ckpt.exists()
+
+
 def test_missing_input_file_exits_1(tmp_path, capsys):
     code = run(["eval", "--dataset", "csv", "--csv", str(tmp_path / "absent.csv"),
                 "--identity"])

@@ -355,6 +355,57 @@ def test_batch_step_is_the_mean_of_per_query_steps():
             assert np.max(np.abs(grads.flat - mean)) <= 1e-12 * np.max(np.abs(mean))
 
 
+def _manual_step(tree, params, batch):
+    """loss_and_grad's tape, built here: the batch's traces at its block
+    rows, the head and one backward. Returns the tape, the leaf map and
+    the parameters' leaf refs."""
+    tape = Tape()
+    rows = make_embedder(params)(np.array([s.features for s in batch]))
+    traces = [greedy_path(tree, params, s.features, r) for s, r in zip(batch, rows)]
+    ref, _ = batch_loss(tape, traces, [s.label for s in batch])
+    return tape, tape.backward(ref), transform.bind_params(tape, params)
+
+
+def test_step_gradient_is_the_leaf_map_and_never_aliased():
+    # the gradient written in place is bitwise an independent concatenation
+    # of backward's leaf gradients, and a later step leaves it alone
+    rng = np.random.default_rng(213)
+    for k in (1, 5):
+        tree, params, batch = _batch_case(rng, k)
+        _, grads, _ = loss_and_grad(tree, params, batch)
+        _, grad_map, refs = _manual_step(tree, params, batch)
+        want = np.concatenate([np.ravel(grad_map[r]) for pair in refs for r in pair])
+        if k > 1:
+            want /= k
+        assert grads.flat.tobytes() == want.tobytes()
+
+        kept = grads.flat.copy()
+        _, later, _ = loss_and_grad(tree, params, batch[::-1])
+        assert grads.flat.tobytes() == kept.tobytes()
+        assert not np.shares_memory(later.flat, grads.flat)
+
+
+def test_a_step_tape_is_freed_without_the_cyclic_collector():
+    # a reference cycle through the tape (a backward closure holding it)
+    # would keep every step's tape and gradient vector alive until a
+    # collection ran
+    import gc
+    import weakref
+
+    tree, params, batch = _batch_case(np.random.default_rng(214), 4)
+    gc.collect()
+    gc.disable()
+    try:
+        tape, grad_map, _ = _manual_step(tree, params, batch)
+        grads = transform.collect_param_grads(tape, params, grad_map)
+        alive = weakref.ref(tape)
+        del tape
+        assert alive() is None
+        assert grads.flat.any()
+    finally:
+        gc.enable()
+
+
 def test_batch_step_rejects_an_empty_batch():
     tree, params, _ = _batch_case(np.random.default_rng(211), 1)
     with pytest.raises(ValueError):

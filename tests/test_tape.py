@@ -38,6 +38,12 @@ def test_inputs_reject_rank_3():
         tape.constant(np.zeros((1, 1, 1)))
 
 
+
+def test_leaf_rejects_a_gradient_destination_of_another_shape():
+    with pytest.raises(ShapeError):
+        Tape().leaf(np.zeros((2, 3)), into=np.zeros((3, 2)))
+
+
 def test_matmul_add_value():
     tape = Tape()
     w = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])

@@ -56,6 +56,23 @@ def test_config_validation():
         tiny_config(max_outer_iters=0)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(lr=0.0), dict(lr=-1.0), dict(lr=math.nan), dict(lr=math.inf),
+    dict(beta1=-0.1), dict(beta1=1.0), dict(beta1=math.nan),
+    dict(beta2=-1e-9), dict(beta2=1.0), dict(beta2=math.inf),
+    dict(eps=0.0), dict(eps=-1e-8), dict(eps=math.nan), dict(eps=math.inf),
+])
+def test_config_rejects_bad_optimizer_settings(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        tiny_config(**bad)
+
+
+def test_config_accepts_optimizer_edges():
+    # the closed end of [0, 1) and the smallest positive lr and eps are legal
+    config = tiny_config(lr=1e-300, beta1=0.0, beta2=0.0, eps=5e-324)
+    assert (config.beta1, config.beta2) == (0.0, 0.0)
+
+
 def _log_with_losses(losses):
     log = TrainLog()
     for i, loss in enumerate(losses):

@@ -7,6 +7,7 @@ import pytest
 
 from betree.tape import Tape
 from betree.transform import (
+    ADAM_BLOCK,
     AdamState,
     CheckpointFormatError,
     MlpArchitecture,
@@ -129,6 +130,40 @@ def test_block_forward_gradient_matches_per_row_forwards():
     assert not np.array_equal(got.flat, np.zeros_like(got.flat))
 
 
+def test_gradient_lands_in_the_tape_vector_and_equals_the_leaf_map():
+    # one forward: every weight and bias gradient is written in place, so
+    # the returned vector is the one bind_params allocated and the leaf map
+    # hands out its views; two forwards accumulate and are copied in
+    rng = np.random.default_rng(33)
+    params = init_params(MlpArchitecture((3, 6, 4, 2), "tanh"), 34)
+    for blocks in ([rng.normal(size=(5, 3))], [rng.normal(size=(5, 3)), rng.normal(size=3)]):
+        tape = Tape()
+        out = tape_sum(tape, [tape.tanh(forward(tape, params, x)) for x in blocks])
+        grad_map = tape.backward(out)
+        refs = bind_params(tape, params)
+        want = np.concatenate([np.ravel(grad_map[r]) for pair in refs for r in pair])
+        grads = collect_param_grads(tape, params, grad_map)
+        assert grads.flat.tobytes() == want.tobytes()
+        assert grads is collect_param_grads(tape, params, grad_map)
+        landed = [np.shares_memory(grad_map[r], grads.flat) for pair in refs for r in pair]
+        assert all(landed) == (len(blocks) == 1)
+
+        # a second sweep over the same tape rewrites the same vector alike
+        again = collect_param_grads(tape, params, tape.backward(out))
+        assert again is grads and again.flat.tobytes() == want.tobytes()
+
+
+def test_unreachable_parameter_leaves_get_zero_gradients():
+    params = init_params(MlpArchitecture((3, 4, 2)), 35)
+    other = init_params(MlpArchitecture((3, 4, 2)), 36)
+    tape = Tape()
+    out = tape_sum(tape, [forward(tape, params, np.ones(3))])
+    bind_params(tape, other)  # bound, but the loss never reads it
+    grad_map = tape.backward(out)
+    assert not collect_param_grads(tape, other, grad_map).flat.any()
+    assert collect_param_grads(tape, params, grad_map).flat.any()
+
+
 def test_bind_params_reuses_leaves():
     params = init_params(MlpArchitecture((3, 4, 2)), 1)
     tape = Tape()
@@ -191,37 +226,48 @@ def test_adam_step_matches_reference_formulas():
         params = new_params
 
 
+def _beyond_one_block():
+    # one layer of ADAM_BLOCK // 2 inputs to 3 outputs: about 1.5 blocks,
+    # so the walk crosses a block edge and ends in a partial block
+    arch = MlpArchitecture((ADAM_BLOCK // 2, 3))
+    assert arch.n_params > ADAM_BLOCK and arch.n_params % ADAM_BLOCK
+    return arch
+
+
 def test_adam_step_is_bitwise_the_plain_expressions():
-    # the scratch buffers keep every operation and its order
+    # the scratch buffers and the blocks keep every operation and its order
     rng = np.random.default_rng(18)
-    params = init_params(MlpArchitecture((5, 7, 3)), 19)
-    state = AdamState.fresh(params, lr=0.003, beta1=0.85, beta2=0.99, eps=1e-6)
-    flat, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
-    for t in range(1, 5):
-        grads = _random_grads(rng, params)
-        g = grads.flat
-        m = 0.85 * m + (1.0 - 0.85) * g
-        v = 0.99 * v + (1.0 - 0.99) * (g * g)
-        flat = flat - 0.003 * (m / (1.0 - 0.85 ** t)) / (np.sqrt(v / (1.0 - 0.99 ** t)) + 1e-6)
-        params = adam_step(params, grads, state)
-        assert params.flat.tobytes() == flat.tobytes()
-        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+    for arch in (MlpArchitecture((5, 7, 3)), _beyond_one_block()):
+        params = init_params(arch, 19)
+        state = AdamState.fresh(params, lr=0.003, beta1=0.85, beta2=0.99, eps=1e-6)
+        flat, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
+        for t in range(1, 5):
+            grads = _random_grads(rng, params)
+            g = grads.flat
+            m = 0.85 * m + (1.0 - 0.85) * g
+            v = 0.99 * v + (1.0 - 0.99) * (g * g)
+            flat = flat - 0.003 * (m / (1.0 - 0.85 ** t)) / (np.sqrt(v / (1.0 - 0.99 ** t)) + 1e-6)
+            params = adam_step(params, grads, state)
+            assert params.flat.tobytes() == flat.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
 
 def test_adam_step_leaves_inputs_untouched():
     rng = np.random.default_rng(16)
-    params = init_params(MlpArchitecture((2, 3)), 17)
-    before = [w.copy() for w in params.weights]
-    flat_before = params.flat.tobytes()
-    grads = _random_grads(rng, params)
-    grads_before = grads.flat.tobytes()
-    state = AdamState.fresh(params)
-    new_params = adam_step(params, grads, state)
-    assert all(np.array_equal(a, b) for a, b in zip(params.weights, before))
-    assert params.flat.tobytes() == flat_before
-    assert grads.flat.tobytes() == grads_before
-    assert new_params is not params
-    assert not np.shares_memory(new_params.flat, params.flat)
+    for arch in (MlpArchitecture((2, 3)), _beyond_one_block()):
+        params = init_params(arch, 17)
+        before = [w.copy() for w in params.weights]
+        flat_before = params.flat.tobytes()
+        grads = _random_grads(rng, params)
+        grads_before = grads.flat.tobytes()
+        state = AdamState.fresh(params)
+        new_params = adam_step(params, grads, state)
+        assert all(np.array_equal(a, b) for a, b in zip(params.weights, before))
+        assert params.flat.tobytes() == flat_before
+        assert grads.flat.tobytes() == grads_before
+        assert new_params is not params
+        assert not np.shares_memory(new_params.flat, params.flat)
+        assert not np.shares_memory(new_params.flat, state.work)
 
 
 def test_adam_step_aborts_on_nonfinite_gradient():
