@@ -6,7 +6,9 @@ the class prediction aggregates the last decision's candidate mass by label.
 The walk is boundary_tree.traverse itself under the plain embedder. One
 head node then turns the rows the walks compared (the queries' rows and the
 tree's rows of their last decisions' candidates) into the batch's summed
-cross-entropy with a closed-form gradient; the same queries and candidates
+cross-entropy with a closed-form gradient, computed once per group of
+queries with the same candidate count and bitwise equal to a per-query
+loop (see loss_head); the same queries and candidates
 go on a Tape as one row block, whose activations carry that gradient to the
 transform parameters through the queries and through the stored samples
 they aggregate.
@@ -29,7 +31,7 @@ from .boundary_tree import (
     node_embedding,
     traverse,
 )
-from .tape import DISTANCE_EPS, Tape, l2_value, neg_dist_log_softmax_value
+from .tape import DISTANCE_EPS, Tape, neg_dist_log_softmax_value
 
 # A structural miss (the true class has no member in the aggregation set)
 # scores the true class at this floor mass instead of 0.
@@ -126,24 +128,25 @@ def path_log_prob(trace: PathTrace) -> float:
     return float(total)
 
 
-def aggregation_mask(trace: PathTrace) -> np.ndarray:
-    """Which of the last decision's candidates carry class mass: after a
-    stayed stop, the whole candidate set (the final node and its children);
-    after a leaf stop, all but the decision node (the final node and its
-    siblings)."""
-    last = trace.decisions[-1]
-    if trace.stop_mode == STOP_STAYED:
-        return np.ones(len(last.candidates), dtype=bool)
-    return np.array([c != last.node for c in last.candidates])
+def aggregation_mask(candidates: np.ndarray, node: np.ndarray, stayed: np.ndarray) -> np.ndarray:
+    """Which last-decision candidates carry class mass, for rows of
+    candidate ids (rows x n) with each row's decision node and stop kind
+    (`stayed` True for a stayed stop): after a stayed stop, the whole
+    candidate set (the final node and its children); after a leaf stop, all
+    but the decision node (the final node and its siblings)."""
+    return (candidates != node[:, None]) | stayed[:, None]
 
 
 def _log_mass(neg: np.ndarray, mask: np.ndarray):
-    """logsumexp of `neg` over `mask`, and the softmax of the masked
-    entries (zero elsewhere)."""
-    m = neg[mask].max()
-    e = np.exp(neg - m, where=mask, out=np.zeros_like(neg))
-    total = e.sum()
-    return m + np.log(total), e / total
+    """logsumexp of each row of `neg` (... x n) over each row of `mask`
+    (the same shape, or with leading axes `neg` broadcasts to), and the
+    softmax of the masked entries (zero elsewhere). Every row needs a
+    masked entry. Each row is reduced at its own length n, so a row's
+    results are bitwise those of the same row alone."""
+    m = np.maximum.reduce(np.where(mask, neg, -np.inf), axis=-1)
+    e = np.exp(neg - m[..., None], where=mask, out=np.zeros(mask.shape))
+    total = np.add.reduce(e, axis=-1)
+    return m + np.log(total), e / total[..., None]
 
 
 def class_probs(trace: PathTrace) -> np.ndarray:
@@ -157,8 +160,10 @@ def class_probs(trace: PathTrace) -> np.ndarray:
         probs[tree.nodes[trace.final].label] = 1.0
         return probs
     last = trace.decisions[-1]
-    _, p = _log_mass(-last.distances, aggregation_mask(trace))
-    np.add.at(probs, [tree.nodes[c].label for c in last.candidates], p)
+    agg = aggregation_mask(np.array([last.candidates]), np.array([last.node]),
+                           np.array([trace.stop_mode == STOP_STAYED]))
+    _, p = _log_mass(-last.distances[None], agg)
+    np.add.at(probs, [tree.nodes[c].label for c in last.candidates], p[0])
     return probs
 
 
@@ -166,9 +171,9 @@ def loss_head(block: np.ndarray, rows: list[list[int]], traces: list[PathTrace],
               labels) -> LossHead:
     """Summed cross-entropy of the traces' class masses, read off `block`
     (embed_paths' walked block, with its `rows`), and its closed-form
-    gradient with respect to the block. Each query's distances are
-    l2_value over the rows its walk compared, so they are bitwise its last
-    decision's.
+    gradient with respect to the block. Each query's distances use
+    l2_value's arithmetic over the rows its walk compared, so they are
+    bitwise its last decision's.
 
     For query i with aggregation set A and true-class part A∩c of its last
     decision's candidates, the loss is logsumexp_A(-d) - logsumexp_{A∩c}(-d)
@@ -176,40 +181,69 @@ def loss_head(block: np.ndarray, rows: list[list[int]], traces: list[PathTrace],
     (Goldberger et al. 2005); it reaches the block rows through
     (q - c) / d, with the zero subgradient below DISTANCE_EPS. A structural
     miss (empty A∩c) is scored at the floor mass LOG_FLOOR: MISS_LOSS plus
-    the log of A's share of the full candidate softmax. A query without a
+    the log of A's share of the full candidate softmax, which is the same
+    formula with A∩c replaced by every candidate. A query without a
     decision scores 0 if the root's label is right and MISS_LOSS if not.
+
+    The Python loop only collects indices; the numpy work runs once per
+    group of queries with the same candidate count n (any decision nodes).
+    numpy sums a row pairwise at its own length, so a group of rows of
+    length n, never padded, reduces each row bitwise as it would alone.
+    The rest is elementwise, and what depends on order keeps the batch
+    order: the terms are added one by one, and the union rows, which
+    several groups can share, take their contributions through one
+    np.subtract.at in query order. So the head is bitwise that of a loop
+    over queries.
     """
     grad = np.zeros_like(block)
-    value = np.float64(0.0)
-    distances, misses = [], 0
+    # terms[1 + i] is query i's loss; the sum starts from terms[0] = 0
+    terms = np.zeros(len(traces) + 1)
+    distances: list[np.ndarray | None] = [None] * len(traces)
+    misses = 0
+    tree = traces[0].tree if traces else None
+    # per candidate count n, one int row per query: its index, its first
+    # union contribution, decision node, stayed stop, label, block rows and
+    # candidate ids
+    groups: dict[int, list[list[int]]] = {}
+    union_rows: list[int] = []
     for i, (t, r, y) in enumerate(zip(traces, rows, labels)):
-        nodes = t.tree.nodes
+        if t.tree is not tree:
+            raise ValueError("loss_head: traces must share one tree")
         if not t.decisions:
-            miss = nodes[t.final].label != y
-            value += MISS_LOSS if miss else 0.0
+            miss = tree.nodes[t.final].label != y
+            terms[1 + i] = MISS_LOSS if miss else 0.0
             misses += int(miss)
-            distances.append(None)
             continue
-        d = l2_value(block[i], block[r])
-        neg = -d
-        agg = aggregation_mask(t)
-        true = agg & np.array([nodes[c].label == y for c in t.decisions[-1].candidates])
-        log_a, p_a = _log_mass(neg, agg)
-        if true.any():
-            log_t, p_t = _log_mass(neg, true)
-            value += log_a - log_t
-            g = p_t - p_a
-        else:
-            misses += 1
-            log_all, p_all = _log_mass(neg, np.ones_like(agg))
-            value += MISS_LOSS + (log_a - log_all)
-            g = p_all - p_a
-        scale = np.divide(g, d, out=np.zeros_like(d), where=d >= DISTANCE_EPS)
-        scaled = scale[:, None] * (block[i] - block[r])
-        grad[i] += scaled.sum(axis=0)
-        grad[r] -= scaled
-        distances.append(d)
-    return LossHead(value, grad, distances, misses)
+        last = t.decisions[-1]
+        groups.setdefault(len(r), []).append(
+            [i, len(union_rows), last.node, t.stop_mode == STOP_STAYED, y, *r, *last.candidates])
+        union_rows += r
+    if groups:
+        node_labels = np.array([node.label for node in tree.nodes])
+    contrib = np.empty((len(union_rows), block.shape[1]))
+    for n, members in groups.items():
+        cols = np.array(members)
+        q, start, node, stayed, y = cols[:, :5].T
+        r, cands = cols[:, 5:5 + n], cols[:, 5 + n:]
+        diff = block[q][:, None, :] - block[r]
+        d = np.sqrt((diff * diff).sum(axis=-1))
+        agg = aggregation_mask(cands, node, stayed.astype(bool))
+        true = agg & (node_labels[cands] == y[:, None])
+        hit = true.any(axis=1)
+        true[~hit] = True
+        (log_a, log_t), (p_a, p_t) = _log_mass(-d, np.array([agg, true]))
+        term = log_a - log_t
+        terms[1 + q] = np.where(hit, term, MISS_LOSS + term)
+        misses += len(q) - int(hit.sum())
+        scale = np.divide(p_t - p_a, d, out=np.zeros(d.shape), where=d >= DISTANCE_EPS)
+        scaled = scale[:, :, None] * diff
+        grad[q] += scaled.sum(axis=1)
+        contrib[start[:, None] + np.arange(n)] = scaled
+        for j, row in zip(q.tolist(), d):
+            distances[j] = row
+    if union_rows:
+        np.subtract.at(grad, union_rows, contrib)
+    return LossHead(np.add.accumulate(terms)[-1], grad, distances, misses)
 
 
 def batch_loss(tape: Tape, traces: list[PathTrace], labels) -> tuple[int, LossHead]:

@@ -43,12 +43,13 @@ def l2_value(a: np.ndarray, b: np.ndarray):
     """Euclidean distance from a rank-1 `a` to `b`, or to each row of a
     rank-2 `b` (one distance per row).
 
-    The single distance kernel, shared by the soft path's loss head and
-    plain tree traversal: both must agree bitwise, and each row's sum runs
+    The single distance kernel of plain tree traversal: each row's sum runs
     over the same contiguous elements in the same order as the rank-1 case.
-    The exact path of boundary_tree's hard decisions repeats this
-    arithmetic, for a row block one candidate at a time in preallocated
-    buffers.
+    Two callers repeat this arithmetic and must agree with it bitwise: the
+    exact path of boundary_tree's hard decisions, for a row block one
+    candidate at a time in preallocated buffers, and the soft path's loss
+    head, on (queries x candidates x width) groups whose differences it
+    keeps for its gradient.
     """
     diff = a - b
     return np.sqrt((diff * diff).sum(axis=-1))

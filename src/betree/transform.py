@@ -92,7 +92,10 @@ class ParameterSet:
             pos += fan_out
 
     def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
+        """Whether every entry is finite, checked one ADAM_BLOCK slice at a
+        time, so no bool vector of the parameter count is made."""
+        flat = self.flat
+        return all(np.isfinite(flat[lo:lo + ADAM_BLOCK]).all() for lo in range(0, len(flat), ADAM_BLOCK))
 
 
 def init_params(arch: MlpArchitecture, seed: int) -> ParameterSet:

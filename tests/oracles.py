@@ -2,12 +2,16 @@
 
 Nothing here calls into betree's traversal, softmax, or gradient code; these
 are deliberately separate (and differently structured) computations that the
-library must agree with.
+library must agree with. ref_loss_head imports only betree's constants and
+its LossHead record.
 """
 
 import math
 
 import numpy as np
+
+from betree import MISS_LOSS, STOP_STAYED, LossHead
+from betree.tape import DISTANCE_EPS
 
 
 def softmax_neg(dists):
@@ -199,3 +203,67 @@ def mlp_error_bound(weights, biases, activation, x):
         if i < last:
             h = np.maximum(h, 0.0) if activation == "relu" else np.tanh(h)
     return e
+
+
+def _ref_l2(a, b):
+    """Euclidean distance from a rank-1 `a` to each row of `b`, with the
+    distance kernel's arithmetic (subtract, square, row sum, sqrt)."""
+    diff = a - b
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def _ref_aggregation_mask(trace):
+    """The aggregation set of one trace's last decision: every candidate
+    after a stayed stop, all but the decision node after a leaf stop."""
+    last = trace.decisions[-1]
+    if trace.stop_mode == STOP_STAYED:
+        return np.ones(len(last.candidates), dtype=bool)
+    return np.array([c != last.node for c in last.candidates])
+
+
+def _ref_log_mass(neg, mask):
+    """logsumexp of a vector `neg` over `mask`, and the softmax of the
+    masked entries (zero elsewhere)."""
+    m = neg[mask].max()
+    e = np.exp(neg - m, where=mask, out=np.zeros_like(neg))
+    total = e.sum()
+    return m + np.log(total), e / total
+
+
+def ref_loss_head(block, rows, traces, labels):
+    """The loss head computed one query at a time: the same inputs and
+    LossHead as soft_path.loss_head, with each query's distances, masked
+    logsumexps and gradient scatter taken on its own, in batch order. A
+    structural miss takes an explicit branch (the full candidate softmax
+    in place of the empty true-class one)."""
+    grad = np.zeros_like(block)
+    value = np.float64(0.0)
+    distances, misses = [], 0
+    for i, (t, r, y) in enumerate(zip(traces, rows, labels)):
+        nodes = t.tree.nodes
+        if not t.decisions:
+            miss = nodes[t.final].label != y
+            value += MISS_LOSS if miss else 0.0
+            misses += int(miss)
+            distances.append(None)
+            continue
+        d = _ref_l2(block[i], block[r])
+        neg = -d
+        agg = _ref_aggregation_mask(t)
+        true = agg & np.array([nodes[c].label == y for c in t.decisions[-1].candidates])
+        log_a, p_a = _ref_log_mass(neg, agg)
+        if true.any():
+            log_t, p_t = _ref_log_mass(neg, true)
+            value += log_a - log_t
+            g = p_t - p_a
+        else:
+            misses += 1
+            log_all, p_all = _ref_log_mass(neg, np.ones_like(agg))
+            value += MISS_LOSS + (log_a - log_all)
+            g = p_all - p_a
+        scale = np.divide(g, d, out=np.zeros_like(d), where=d >= DISTANCE_EPS)
+        scaled = scale[:, None] * (block[i] - block[r])
+        grad[i] += scaled.sum(axis=0)
+        grad[r] -= scaled
+        distances.append(d)
+    return LossHead(value, grad, distances, misses)

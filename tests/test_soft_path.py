@@ -44,7 +44,7 @@ from helpers import (
     random_samples,
     random_tree,
 )
-from oracles import enumerate_traversals, enumerated_class_expectation, softmax_neg
+from oracles import enumerate_traversals, enumerated_class_expectation, ref_loss_head, softmax_neg
 
 IDENT = identity_embedder()
 
@@ -659,6 +659,94 @@ def test_present_true_class_below_the_floor_gets_the_exact_log_ratio():
         return t.push(h.value, (refs[0],), lambda g: (g * h.grad,))
 
     assert grad_check(build_loss, [walked], step=1e-5) < 1e-6
+
+
+# ---- the grouped head against the per-query oracle ----------------------------
+#
+# loss_head runs its numpy work once per candidate-count group; the oracle
+# is the same head one query at a time. They must agree to the byte.
+
+_FANOUTS = (0, 1, 2, 3, 7, 8, 9, 16, 127, 128, 129, 200)
+
+
+def _wide_tree(rng, dim, max_children, class_count=3):
+    """Identity tree whose fan-outs span numpy's pairwise-sum boundaries:
+    2-9 root children 10 apart, each with a fan-out from _FANOUTS at scale
+    1, and up to three of those with 0-2 children at scale 0.1. Labels are
+    random but differ from the parent's, so walks miss and every edge is a
+    class boundary. add_child does not apply the max_children bound,
+    so a node can hold more children than the bound, and any node at or
+    past it drops out of its own candidates."""
+    tree = new_tree(Sample(np.zeros(dim), int(rng.integers(class_count))), max_children, class_count)
+
+    def grow(parent, fanout, scale):
+        for _ in range(fanout):
+            p = tree.nodes[parent]
+            label = (p.label + 1 + int(rng.integers(class_count - 1))) % class_count
+            tree.add_child(parent, Sample(p.sample.features + scale * rng.normal(size=dim), label))
+
+    grow(0, int(rng.choice((2, 3, 5, 9))), 10.0)
+    for c in list(tree.nodes[0].children):
+        grow(c, int(rng.choice(_FANOUTS)), 1.0)
+        for g in tree.nodes[c].children[:3]:
+            grow(g, int(rng.integers(3)), 0.1)
+    return tree
+
+
+def _assert_heads_equal(got, want):
+    assert type(got.value) is np.float64 and got.value.tobytes() == want.value.tobytes()
+    assert got.grad.tobytes() == want.grad.tobytes()
+    assert got.misses == want.misses
+    assert len(got.distances) == len(want.distances)
+    for a, b in zip(got.distances, want.distances):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+def test_grouped_head_is_bitwise_the_per_query_head():
+    rng = np.random.default_rng(230)
+    counts, kinds, shared = set(), set(), 0
+    dropped = zero = False
+    for case in range(18):
+        dim = (1, 2, 3, 20, 130)[case % 5]
+        tree = _wide_tree(rng, dim, (None, 1, 3)[case % 3])
+        # queries on a node (distance 0), or near it at three scales
+        at = rng.integers(len(tree), size=40)
+        scale = rng.choice((0.0, 0.01, 0.3, 3.0), size=(40, 1))
+        queries = np.array([tree.nodes[i].sample.features for i in at]) + scale * rng.normal(size=(40, dim))
+        traces = [greedy_path(tree, None, q) for q in queries]
+        labels = rng.integers(tree.class_count, size=40).tolist()
+        _, walked, rows = embed_paths(Tape(), traces)
+        for block in (walked, walked * 10.0 ** rng.integers(-3, 4, size=(len(walked), 1))):
+            _assert_heads_equal(loss_head(block, rows, traces, labels),
+                                ref_loss_head(block, rows, traces, labels))
+        counts_of_row = {}
+        for t, r, y in zip(traces, rows, labels):
+            last = t.decisions[-1]
+            counts.add(len(r))
+            dropped |= last.node not in last.candidates
+            zero |= not last.distances.all()
+            aggregated = {tree.nodes[c].label for c in last.candidates
+                          if t.stop_mode == STOP_STAYED or c != last.node}
+            kinds.add((t.stop_mode, y in aggregated))
+            for row in r:
+                counts_of_row.setdefault(row, set()).add(len(r))
+        shared += sum(len(ns) > 1 for ns in counts_of_row.values())
+    # candidate counts in every band of numpy's pairwise sum (1, 2-8,
+    # 9-128, above 128), both stop kinds with and without a miss, a bound
+    # that drops the decision node, a zero distance, and union rows that
+    # several groups share
+    assert 1 in counts and counts & set(range(2, 9)) and counts & set(range(9, 129))
+    assert max(counts) > 128
+    assert kinds == {(STOP_LEAF, True), (STOP_LEAF, False), (STOP_STAYED, True), (STOP_STAYED, False)}
+    assert dropped and zero and shared > 0
+    # queries without a decision (a one-node tree)
+    tree = new_tree(Sample(rng.normal(size=3), 1), class_count=3)
+    traces = [greedy_path(tree, None, rng.normal(size=3)) for _ in range(6)]
+    labels = [0, 1, 2, 1, 1, 0]
+    _, walked, rows = embed_paths(Tape(), traces)
+    head = loss_head(walked, rows, traces, labels)
+    _assert_heads_equal(head, ref_loss_head(walked, rows, traces, labels))
+    assert head.misses == 3 and head.value == 3 * MISS_LOSS and not head.grad.any()
 
 
 # ---- predict_soft vs predict_hard ---------------------------------------------

@@ -26,8 +26,9 @@ from betree import (
     train,
     write_train_log,
 )
-from betree import trainer
+from betree import soft_path, trainer
 from betree.trainer import _SampleStream, hard_error
+from oracles import ref_loss_head
 
 ARCH = MlpArchitecture((2, 6, 2))
 
@@ -295,3 +296,34 @@ def test_write_train_log_round_trips_float_repr(tmp_path):
     write_train_log(log, path)
     row = list(csv.reader(path.open()))[1]
     assert float(row[1]) == loss and float(row[3]) == 2.0 / 7.0
+
+
+def _blobs(n, dim, seed):
+    """Gaussian blobs of 10 classes at the shape of MNIST: centers uniform
+    on [0, 1], noise sd 0.9."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 1.0, (10, dim))
+    points = rng.normal(0.0, 0.9, (n, dim)) + centers[np.arange(n) % 10]
+    return Dataset([Sample(p, i % 10) for i, p in enumerate(points)], dim, 10, "csv")
+
+
+@pytest.mark.parametrize("case", ["moons", "784-d"])
+def test_training_with_the_per_query_head_is_byte_identical(case, tmp_path, monkeypatch):
+    # the grouped loss head, swapped for the per-query oracle, leaves a
+    # whole training run unchanged: its parameters and its timing-free log
+    if case == "moons":
+        train_set, test_set = shuffle_split(gen_half_moons(300, 0.1, 3), 4, (0.8, 0.2))
+        config = TrainConfig(arch=MlpArchitecture((2, 16, 16, 2)), tree_build_samples=20,
+                             grad_steps_per_iter=10, max_outer_iters=12, seed=5)
+    else:
+        train_set, test_set = shuffle_split(_blobs(300, 784, 6), 7, (0.8, 0.2))
+        config = TrainConfig(arch=MlpArchitecture((784, 24, 8)), tree_build_samples=60,
+                             grad_steps_per_iter=40, max_outer_iters=3, seed=8)
+    runs = []
+    for head in (soft_path.loss_head, ref_loss_head):
+        monkeypatch.setattr(soft_path, "loss_head", head)
+        params, log = train(train_set, test_set, config)
+        path = tmp_path / f"{head.__name__}.csv"
+        write_train_log(log, path, timing=False)
+        runs.append((params.flat.tobytes(), path.read_bytes(), sum(r.clamps for r in log.records)))
+    assert runs[0] == runs[1]

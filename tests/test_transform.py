@@ -1,6 +1,7 @@
 """MLP transform: init, on/off-tape forward agreement, Adam, checkpoints."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,32 @@ def test_adam_step_aborts_on_nonfinite_gradient():
         adam_step(params, grads, state)
     assert state.t == 0  # nothing advanced
     assert not state.m.any() and not state.v.any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first block", "last block"])
+def test_adam_step_checks_every_block_before_any_update(bad, where):
+    # the guard walks the same ADAM_BLOCK slices as the update: a bad entry
+    # in the first block or in the last, partial one aborts the step with
+    # params, moments and step count byte-unchanged, and the check makes
+    # no bool vector of the parameter count
+    arch = _beyond_one_block()
+    rng = np.random.default_rng(20)
+    params = init_params(arch, 21)
+    state = AdamState.fresh(params)
+    params = adam_step(params, _random_grads(rng, params), state)
+    grads = _random_grads(rng, params)
+    grads.flat[0 if where == "first block" else arch.n_params - 1] = bad
+    before = [params.flat.tobytes(), state.m.tobytes(), state.v.tobytes(), state.t]
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonFiniteGradientError):
+            adam_step(params, grads, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [params.flat.tobytes(), state.m.tobytes(), state.v.tobytes(), state.t] == before
+    assert peak < arch.n_params
 
 
 def test_adam_step_rejects_shape_mismatch():
