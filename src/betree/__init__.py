@@ -52,7 +52,7 @@ from .soft_path import (
     path_log_prob,
     predict_soft,
 )
-from .tape import ShapeError, Tape, grad_check, l2_value, neg_dist_log_softmax_value
+from .tape import Tape, l2_value, neg_dist_log_softmax_value
 from .trainer import (
     IterRecord,
     TrainConfig,
@@ -70,8 +70,6 @@ from .transform import (
     NonFiniteGradientError,
     ParameterSet,
     adam_step,
-    bind_params,
-    collect_param_grads,
     embed,
     forward,
     identity_embedder,

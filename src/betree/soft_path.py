@@ -3,14 +3,15 @@
 Each traversal decision becomes a softmax over negative embedding distances,
 a root-to-final path gets the product of its transition probabilities, and
 the class prediction aggregates the last decision's candidate mass by label.
-The walk is boundary_tree.traverse itself under the plain embedder. One
-head node then turns the rows the walks compared (the queries' rows and the
+The walk is boundary_tree.traverse itself under the plain embedder. The loss
+head then turns the rows the walks compared (the queries' rows and the
 tree's rows of their last decisions' candidates) into the batch's summed
-cross-entropy with a closed-form gradient, computed once per group of
-queries with the same candidate count and bitwise equal to a per-query
-loop (see loss_head); the same queries and candidates
-go on a Tape as one row block, whose activations carry that gradient to the
-transform parameters through the queries and through the stored samples
+cross-entropy with a closed-form gradient with respect to those rows,
+computed once per group of queries with the same candidate count and
+bitwise equal to a per-query loop (see loss_head). One recorded forward of
+the same queries and candidates as one row block (transform.forward) and
+its written-out backward (tape.Tape.backward) carry that gradient to the
+transform parameters, through the queries and through the stored samples
 they aggregate.
 """
 
@@ -80,21 +81,22 @@ def greedy_path(tree: BoundaryTree, params, y, y_emb=None) -> PathTrace:
                      trace.steps, trace.final, trace.stop_mode)
 
 
-def embed_paths(tape: Tape, traces: list[PathTrace]) -> tuple[int, np.ndarray, list[list[int]]]:
-    """Put one row block on `tape`. Returns its ref, the walked block and,
-    per trace, the block rows of its last decision's candidates in
-    candidate order (empty without a decision).
+def embed_paths(traces: list[PathTrace]) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """The batch's row block: its raw features, the walked block and, per
+    trace, the block rows of its last decision's candidates in candidate
+    order (empty without a decision).
 
     The block holds the k queries, then the union of their last decisions'
     candidates in first-seen order, each node once. The walked block holds
     the rows the walks compared: each trace's `embedded` row, then the
-    tree's rows of the union. On the tape, the raw features of the same
-    queries and nodes are embedded by a single transform.forward, so one
-    backward pass reaches the parameters with one weight-gradient product
-    per layer; its rows agree with the walked ones to rounding (see
-    tape.affine). With params None the tape block is the walked block, a
-    constant.
+    tree's rows of the union. The raw features of the same queries and
+    nodes are what loss_and_grad's single transform.forward embeds, so one
+    backward reaches the parameters with one weight-gradient product per
+    layer; its rows agree with the walked ones to rounding (see
+    transform.affine).
     """
+    if not traces:
+        raise ValueError("embed_paths: no traces")
     first = traces[0]
     tree, params = first.tree, first.params
     if any(t.tree is not tree or t.params is not params for t in traces):
@@ -109,12 +111,8 @@ def embed_paths(tape: Tape, traces: list[PathTrace]) -> tuple[int, np.ndarray, l
     walked = np.array([t.embedded for t in traces])
     if union:
         walked = np.concatenate([walked, node_embedding(tree, union, embedder)])
-    if params is None:
-        ref = tape.constant(walked)
-    else:
-        raw = np.array([*(t.query for t in traces), *(tree.nodes[c].sample.features for c in union)])
-        ref = transform.forward(tape, params, raw)
-    return ref, walked, [[row_of[c] for c in t.decisions[-1].candidates] if t.decisions else []
+    raw = np.array([*(t.query for t in traces), *(tree.nodes[c].sample.features for c in union)])
+    return raw, walked, [[row_of[c] for c in t.decisions[-1].candidates] if t.decisions else []
                          for t in traces]
 
 
@@ -246,44 +244,45 @@ def loss_head(block: np.ndarray, rows: list[list[int]], traces: list[PathTrace],
     return LossHead(np.add.accumulate(terms)[-1], grad, distances, misses)
 
 
-def batch_loss(tape: Tape, traces: list[PathTrace], labels) -> tuple[int, LossHead]:
-    """The traces' summed loss as one tape node over embed_paths' block;
-    returns its ref and the LossHead behind it.
+def batch_loss(traces: list[PathTrace], labels) -> tuple[np.ndarray, LossHead]:
+    """The traces' loss head over embed_paths' walked block; returns the
+    block's raw features and the LossHead.
 
     The head reads the walked block, so its value and gradient are those
-    of the rows the walks compared; the tape block supplies the
-    activations through which backward() carries that gradient to the
-    parameters.
+    of the rows the walks compared; a forward of the raw block supplies
+    the activations through which the backward carries that gradient to
+    the parameters.
     """
+    if not traces:
+        raise ValueError("batch_loss: no traces")
     class_count = traces[0].tree.class_count
     for y in labels:
         if not 0 <= y < class_count:
             raise ValueError(f"true label {y} outside [0, {class_count})")
-    block, walked, rows = embed_paths(tape, traces)
-    head = loss_head(walked, rows, traces, labels)
-    return tape.push(head.value, (block,), lambda g: (g * head.grad,)), head
+    raw, walked, rows = embed_paths(traces)
+    return raw, loss_head(walked, rows, traces, labels)
 
 
 def loss_and_grad(tree: BoundaryTree, params: transform.ParameterSet, samples):
-    """One gradient step's loss over one Sample or a batch of them, on a
-    fresh tape: the queries are embedded plain as one block for their
-    greedy_path walks, batch_loss computes the head from those rows and the
-    tree's and puts the tape block and the head on, and one backward from
-    the head gives the gradient.
+    """One gradient step's loss over one Sample or a batch of them: the
+    queries are embedded plain as one block for their greedy_path walks,
+    batch_loss computes the head from those rows and the tree's, one
+    transform.forward records the raw block's chain on a fresh Tape, and
+    its backward from the head's gradient gives the parameter gradient.
 
     Returns (mean loss value, mean gradient ParameterSet, structural-miss
-    count over the batch). Parameters are not mutated; the tape is
-    discarded with the return.
+    count over the batch). Parameters are not mutated.
     """
     samples = [samples] if isinstance(samples, Sample) else list(samples)
     if not samples:
         raise ValueError("loss_and_grad: no samples")
-    tape = Tape()
     queries = np.array([s.features for s in samples])
     traces = [greedy_path(tree, params, s.features, row)
               for s, row in zip(samples, transform.make_embedder(params)(queries))]
-    ref, head = batch_loss(tape, traces, [s.label for s in samples])
-    grads = transform.collect_param_grads(tape, params, tape.backward(ref))
+    raw, head = batch_loss(traces, [s.label for s in samples])
+    tape = Tape()
+    transform.forward(tape, params, raw)
+    grads = tape.backward(head.grad)
     value = float(head.value)
     if len(samples) > 1:
         value /= len(samples)

@@ -1,5 +1,6 @@
-"""The embedding network: a fully connected MLP with He-Gaussian init,
-forward passes on and off the tape, the Adam optimizer, and checkpoint I/O.
+"""The embedding network: a fully connected MLP with He-Gaussian init, its
+affine kernel, plain embedding and the recorded forward of a gradient step
+(see tape.Tape), the Adam optimizer, and checkpoint I/O.
 """
 
 from __future__ import annotations
@@ -7,10 +8,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tape import Tape, affine
+if TYPE_CHECKING:
+    from .tape import Tape
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -107,64 +110,52 @@ def init_params(arch: MlpArchitecture, seed: int) -> ParameterSet:
     return params
 
 
-def bind_params(tape: Tape, params: ParameterSet) -> list[tuple[int, int]]:
-    """Leaf refs for every layer, created once per (tape, params) pair.
+def affine(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """w @ x + b for a rank-1 `x`, or for each row of a rank-2 `x`.
 
-    All forward passes on one tape share these refs, so the backward sweep
-    accumulates gradients across the query and every stored sample it was
-    compared against. The pair also gets one gradient vector in the
-    parameter layout, allocated here: each leaf's gradient destination is
-    its view of that vector, so matmul_add's backward writes the weight and
-    bias gradients straight into it (see Tape.leaf and collect_param_grads).
+    The single affine kernel of the MLP: one GEMM, x @ w.T + b, for one row
+    and for a row block alike. The BLAS kernel's summation order depends on
+    the block's shape (and on the BLAS thread count), so a block row agrees
+    with the one-row call only to rounding; a result that must be bitwise
+    another's reuses its rows instead of embedding them again.
     """
-    bound = tape.bound_params.get(id(params))
-    if bound is None:
-        grads = ParameterSet(params.arch, np.empty(params.arch.n_params))
-        refs = [(tape.leaf(w, into=gw), tape.leaf(b, into=gb))
-                for w, b, gw, gb in zip(params.weights, params.biases, grads.weights, grads.biases)]
-        bound = tape.bound_params[id(params)] = refs, grads
-    return bound[0]
+    return x @ w.T + b
 
 
-def forward_from_refs(tape: Tape, layer_refs, activation: str, x) -> int:
-    """Run the MLP from existing parameter leaf refs over one row or a row
-    block; returns the embedding ref."""
-    act = tape.relu if activation == "relu" else tape.tanh
-    h = tape.constant(np.asarray(x, dtype=np.float64))
-    last = len(layer_refs) - 1
-    for i, (w, b) in enumerate(layer_refs):
-        h = tape.matmul_add(w, h, b)
-        if i < last:
-            h = act(h)
-    return h
-
-
-def _check_input(name: str, params: ParameterSet, x: np.ndarray) -> None:
-    if x.ndim not in (1, 2) or x.shape[-1] != params.arch.in_dim:
-        raise ValueError(f"{name}: input shape {x.shape} does not match architecture input "
-                         f"({params.arch.in_dim},) or (k, {params.arch.in_dim})")
-
-
-def forward(tape: Tape, params: ParameterSet, x) -> int:
-    """Embed a raw feature vector, or a row block of them, on the tape."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_input("forward", params, x)
-    return forward_from_refs(tape, bind_params(tape, params), params.arch.activation, x)
-
-
-def embed(params: ParameterSet, x) -> np.ndarray:
-    """Plain forward pass over one row or a row block, bitwise identical to
-    the tape version of the same input. A block row agrees with its
-    one-row embedding only to rounding (see tape.affine)."""
-    h = np.asarray(x, dtype=np.float64)
-    _check_input("embed", params, h)
+def _layers(params: ParameterSet, h: np.ndarray, inputs: list | None = None) -> np.ndarray:
+    """The MLP over `h`, one row or a row block; appends each layer's input
+    rows to `inputs` when given."""
     last = len(params.weights) - 1
     relu = params.arch.activation == "relu"
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        if inputs is not None:
+            inputs.append(h)
         h = affine(w, h, b)
         if i < last:
             h = np.maximum(h, 0.0) if relu else np.tanh(h)
     return h
+
+
+def forward(tape: Tape, params: ParameterSet, x) -> np.ndarray:
+    """Embed a row block of raw features for one gradient step; returns the
+    output block and records the parameters and each layer's input rows on
+    `tape`, for its backward. Bitwise embed's result for the same block."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.arch.in_dim:
+        raise ValueError(f"forward: input shape {x.shape} does not match architecture input "
+                         f"(k, {params.arch.in_dim})")
+    tape.params, tape.inputs = params, []
+    return _layers(params, x, tape.inputs)
+
+
+def embed(params: ParameterSet, x) -> np.ndarray:
+    """Plain forward pass over one row or a row block. A block row agrees
+    with its one-row embedding only to rounding (see affine)."""
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim not in (1, 2) or h.shape[-1] != params.arch.in_dim:
+        raise ValueError(f"embed: input shape {h.shape} does not match architecture input "
+                         f"({params.arch.in_dim},) or (k, {params.arch.in_dim})")
+    return _layers(params, h)
 
 
 def make_embedder(params: ParameterSet):
@@ -187,24 +178,6 @@ def identity_embedder():
 
     fn.cache_key = ("identity",)
     return fn
-
-
-def collect_param_grads(tape: Tape, params: ParameterSet, grad_map) -> ParameterSet:
-    """This ParameterSet's gradients from a backward() leaf map, in the
-    parameter layout: the tape's gradient vector (see bind_params).
-
-    Most gradients are already there, written by matmul_add's backward; one
-    is copied in only where it did not land in place, as when several
-    forwards on one tape accumulate into a leaf or a leaf is unreachable
-    from the loss. A later backward on the same tape rewrites the vector.
-    """
-    refs = bind_params(tape, params)
-    grads = tape.bound_params[id(params)][1]
-    for (w, b), gw, gb in zip(refs, grads.weights, grads.biases):
-        for ref, view in ((w, gw), (b, gb)):
-            if grad_map[ref] is not view:
-                view[...] = grad_map[ref]
-    return grads
 
 
 # adam_step walks the parameter vector in slices of this many floats, so

@@ -1,9 +1,13 @@
-"""Shared generators for random trees and general-position test cases."""
+"""Shared generators for random trees and general-position test cases, and
+the finite-difference check of a gradient step."""
+
+import math
 
 import numpy as np
 
 from betree import (
     MlpArchitecture,
+    ParameterSet,
     Sample,
     build_tree,
     identity_embedder,
@@ -115,28 +119,24 @@ def general_position_case(rng, n_range=(3, 10), out_dims=(2, 8)):
             return tree, params, query
 
 
-def bind_as_leaves(tape, arch, weight_refs, bias_refs):
-    """ParameterSet whose tape bindings are existing leaf refs, so grad_check
-    can differentiate the full pipeline with respect to them. Those leaves
-    have no gradient destination, so the binding's gradient vector only
-    receives copies (see collect_param_grads)."""
-    from betree.transform import ParameterSet
-
-    pairs = list(zip(weight_refs, bias_refs))
-    params = ParameterSet(arch, np.concatenate([np.ravel(tape.value(r)) for pair in pairs for r in pair]))
-    tape.bound_params[id(params)] = pairs, ParameterSet(arch, np.zeros(arch.n_params))
-    return params
-
-
-def tape_sum(tape, refs, weights=None):
-    """One scalar node holding sum_i weights[i] * sum(value of refs[i])
-    (weights default to 1): the scalar reduction grad checks need, since
-    the tape itself only sums scalars."""
-    weights = [1.0] * len(refs) if weights is None else list(weights)
-    values = [tape.value(r) for r in refs]
-    total = np.float64(sum(w * np.sum(v) for w, v in zip(weights, values)))
-
-    def vjp(g):
-        return tuple(np.full(np.shape(v), g * w) for w, v in zip(weights, values))
-
-    return tape.push(total, tuple(refs), vjp)
+def fd_max_rel_error(tree, params, samples, step=1e-5):
+    """Max relative disagreement between loss_and_grad's gradient and
+    central differences of its value, over every parameter but the
+    last-layer bias. That bias shifts every embedding together, so the loss
+    is flat along it and callers check its gradient analytically. Each probe
+    is a fresh loss_and_grad at ParameterSet(arch, flat +/- step e_k), so
+    the numeric side never trusts the backward."""
+    _, grads, _ = loss_and_grad(tree, params, samples)
+    arch = params.arch
+    worst = 0.0
+    for k in range(arch.n_params - arch.out_dim):
+        values = []
+        for delta in (step, -step):
+            flat = params.flat.copy()
+            flat[k] += delta
+            values.append(loss_and_grad(tree, ParameterSet(arch, flat), samples)[0])
+        assert all(math.isfinite(v) for v in values), f"non-finite loss {values}"
+        numeric = (values[0] - values[1]) / (2.0 * step)
+        a = float(grads.flat[k])
+        worst = max(worst, abs(a - numeric) / max(1e-8, abs(a) + abs(numeric)))
+    return worst

@@ -176,6 +176,11 @@ def ref_affine(w, x, b):
     return np.array([list(map(math.fsum, (wb * row).tolist())) for row in xb])
 
 
+def ref_affine_entries(w, x, b, rows, cols):
+    """ref_affine's entries at the pairs (rows[i], cols[i]) alone."""
+    return np.array([math.fsum((w[j] * x[i]).tolist() + [b[j]]) for i, j in zip(rows, cols)])
+
+
 def affine_error_bound(w, x, b):
     """Entrywise bound on the distance from any float evaluation of
     w @ row + b (any summation order, FMA included) to ref_affine's value:

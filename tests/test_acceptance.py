@@ -19,7 +19,6 @@ from betree import (
     TrainConfig,
     evaluate,
     gen_half_moons,
-    batch_loss,
     greedy_path,
     identity_embedder,
     init_params,
@@ -33,9 +32,8 @@ from betree import (
     traverse,
     write_train_log,
 )
-from betree.tape import grad_check
 from conftest import registered_trees, violating_edges
-from helpers import bind_as_leaves, general_position_case, random_tree
+from helpers import fd_max_rel_error, general_position_case, random_tree
 from oracles import enumerate_traversals, enumerated_class_expectation
 
 MOON_SEEDS = (0, 1, 2, 3, 4)
@@ -104,24 +102,13 @@ def test_criterion_2_gradient_correctness(capsys):
     flat_worst = 0.0
     for _ in range(100):
         tree, params, query = general_position_case(rng)
-        n_w = len(params.weights)
         # The last-layer bias shifts every embedding by the same vector, so
         # every distance (and the loss) is exactly flat along it. Central
         # differences only see rounding noise on a flat direction; verify its
         # gradient analytically and finite-difference everything else.
         _, grads, _ = loss_and_grad(tree, params, query)
         flat_worst = max(flat_worst, float(np.max(np.abs(grads.biases[-1]))))
-        last_bias = params.biases[-1].copy()
-        arrays = [w.copy() for w in params.weights]
-        arrays += [b.copy() for b in params.biases[:-1]]
-
-        def build_loss(tape, refs):
-            biases = list(refs[n_w:]) + [tape.leaf(last_bias)]
-            bound = bind_as_leaves(tape, params.arch, refs[:n_w], biases)
-            trace = greedy_path(tree, bound, query.features)
-            return batch_loss(tape, [trace], [query.label])[0]
-
-        worst = max(worst, grad_check(build_loss, arrays, step=1e-5))
+        worst = max(worst, fd_max_rel_error(tree, params, query, step=1e-5))
     elapsed = time.perf_counter() - t0
     detail = (
         f"100 random trees, max relative error {worst:.3e}, "

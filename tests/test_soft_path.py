@@ -19,7 +19,6 @@ from betree import (
     batch_loss,
     build_tree,
     class_probs,
-    collect_param_grads,
     embed,
     embed_paths,
     greedy_path,
@@ -36,15 +35,20 @@ from betree import (
     traverse,
 )
 from betree import transform
-from betree.tape import grad_check
 from helpers import (
-    bind_as_leaves,
+    fd_max_rel_error,
     general_position_case,
     in_general_position,
     random_samples,
     random_tree,
 )
-from oracles import enumerate_traversals, enumerated_class_expectation, ref_loss_head, softmax_neg
+from oracles import (
+    enumerate_traversals,
+    enumerated_class_expectation,
+    fd_gradient,
+    ref_loss_head,
+    softmax_neg,
+)
 
 IDENT = identity_embedder()
 
@@ -112,7 +116,7 @@ def test_greedy_path_mirrors_hard_traverse(use_mlp):
             assert np.array_equal(dec.distances, step.distances)
         if pt.decisions:
             # the distances the loss differentiates are the walk's last ones
-            _, head = batch_loss(Tape(), [pt], [0])
+            _, head = batch_loss([pt], [0])
             assert np.array_equal(head.distances[0], pt.decisions[-1].distances)
 
 
@@ -246,29 +250,27 @@ def test_class_probs_normalize_and_prefix_cancels():
 
 def test_loss_zero_for_certain_correct_root():
     tree = new_tree(Sample([0.0], 1), class_count=2)
-    tape = Tape()
     pt = greedy_path(tree, None, np.array([2.0]))
-    ref, head = batch_loss(tape, [pt], [1])
-    assert float(tape.value(ref)) == 0.0 and head.misses == 0
+    _, head = batch_loss([pt], [1])
+    assert head.value == 0.0 and head.misses == 0
     # the wrong label on a one-node tree is a structural miss
-    _, wrong = batch_loss(Tape(), [pt], [0])
+    _, wrong = batch_loss([pt], [0])
     assert wrong.value == MISS_LOSS and wrong.misses == 1
 
 
 def test_loss_log2_at_even_odds():
     tree = new_tree(Sample([0.0], 0))
     tree.add_child(0, Sample([2.0], 1))
-    tape = Tape()
     pt = greedy_path(tree, None, np.array([1.0]))  # tie: stay, p = 0.5 each
-    ref, _ = batch_loss(tape, [pt], [0])
-    assert abs(float(tape.value(ref)) - math.log(2.0)) < 1e-12
+    _, head = batch_loss([pt], [0])
+    assert abs(head.value - math.log(2.0)) < 1e-12
 
 
 def test_loss_validates_label():
     pt = greedy_path(new_tree(Sample([0.0], 0)), None, np.array([1.0]))
     for bad in (7, -1):
         with pytest.raises(ValueError):
-            batch_loss(Tape(), [pt], [bad])
+            batch_loss([pt], [bad])
 
 
 def test_clamp_counter_fires_only_for_true_class():
@@ -276,10 +278,9 @@ def test_clamp_counter_fires_only_for_true_class():
     # aggregation set (here the two label-1 children of a leaf stop)
     tree = leaf_stop_tree()
     pt = greedy_path(tree, None, np.array([3.0]))
-    assert batch_loss(Tape(), [pt], [1])[1].misses == 0
-    tape = Tape()
-    ref, head = batch_loss(tape, [pt], [0])
-    val = float(tape.value(ref))
+    assert batch_loss([pt], [1])[1].misses == 0
+    _, head = batch_loss([pt], [0])
+    val = float(head.value)
     assert head.misses == 1
     assert val > 60.0  # -log(1e-30) scale, large but finite
 
@@ -305,12 +306,12 @@ def test_loss_and_grad_matches_manual_pipeline():
     sample = Sample(rng.normal(size=2), 1)
     value, grads, clamps = loss_and_grad(tree, params, sample)
 
-    tape = Tape()
     pt = greedy_path(tree, params, sample.features)
-    ref, head = batch_loss(tape, [pt], [sample.label])
-    grad_map = tape.backward(ref)
-    manual = collect_param_grads(tape, params, grad_map)
-    assert value == float(tape.value(ref))
+    raw, head = batch_loss([pt], [sample.label])
+    tape = Tape()
+    transform.forward(tape, params, raw)
+    manual = tape.backward(head.grad)
+    assert value == float(head.value)
     assert clamps == head.misses
     for a, b in zip(grads.weights + grads.biases, manual.weights + manual.biases):
         assert np.array_equal(a, b)
@@ -343,7 +344,7 @@ def test_batch_step_is_the_mean_of_per_query_steps():
             # every per-query loss is bitwise its single-query head at the
             # query row the batch walked, summed in batch order
             rows = make_embedder(params)(np.array([s.features for s in batch]))
-            heads = [batch_loss(Tape(), [greedy_path(tree, params, s.features, r)], [s.label])[1]
+            heads = [batch_loss([greedy_path(tree, params, s.features, r)], [s.label])[1]
                      for s, r in zip(batch, rows)]
             assert value == sum(float(h.value) for h in heads) / k
             # a single step embeds its query alone, which moves its row, and
@@ -356,28 +357,28 @@ def test_batch_step_is_the_mean_of_per_query_steps():
 
 
 def _manual_step(tree, params, batch):
-    """loss_and_grad's tape, built here: the batch's traces at its block
-    rows, the head and one backward. Returns the tape, the leaf map and
-    the parameters' leaf refs."""
-    tape = Tape()
+    """loss_and_grad's step, built here: the batch's traces at its block
+    rows, the head, one forward and the backward from the head's gradient.
+    Returns the tape and the (summed) gradient."""
     rows = make_embedder(params)(np.array([s.features for s in batch]))
     traces = [greedy_path(tree, params, s.features, r) for s, r in zip(batch, rows)]
-    ref, _ = batch_loss(tape, traces, [s.label for s in batch])
-    return tape, tape.backward(ref), transform.bind_params(tape, params)
+    raw, head = batch_loss(traces, [s.label for s in batch])
+    tape = Tape()
+    transform.forward(tape, params, raw)
+    return tape, tape.backward(head.grad)
 
 
-def test_step_gradient_is_the_leaf_map_and_never_aliased():
-    # the gradient written in place is bitwise an independent concatenation
-    # of backward's leaf gradients, and a later step leaves it alone
+def test_step_gradient_is_the_backward_and_never_aliased():
+    # loss_and_grad's gradient is bitwise the written-out backward of the
+    # same step, divided by the batch size, and a later step leaves it alone
     rng = np.random.default_rng(213)
     for k in (1, 5):
         tree, params, batch = _batch_case(rng, k)
         _, grads, _ = loss_and_grad(tree, params, batch)
-        _, grad_map, refs = _manual_step(tree, params, batch)
-        want = np.concatenate([np.ravel(grad_map[r]) for pair in refs for r in pair])
+        _, want = _manual_step(tree, params, batch)
         if k > 1:
-            want /= k
-        assert grads.flat.tobytes() == want.tobytes()
+            want.flat /= k
+        assert grads.flat.tobytes() == want.flat.tobytes()
 
         kept = grads.flat.copy()
         _, later, _ = loss_and_grad(tree, params, batch[::-1])
@@ -386,9 +387,8 @@ def test_step_gradient_is_the_leaf_map_and_never_aliased():
 
 
 def test_a_step_tape_is_freed_without_the_cyclic_collector():
-    # a reference cycle through the tape (a backward closure holding it)
-    # would keep every step's tape and gradient vector alive until a
-    # collection ran
+    # a reference cycle through the tape would keep every step's recorded
+    # blocks alive until a collection ran
     import gc
     import weakref
 
@@ -396,8 +396,7 @@ def test_a_step_tape_is_freed_without_the_cyclic_collector():
     gc.collect()
     gc.disable()
     try:
-        tape, grad_map, _ = _manual_step(tree, params, batch)
-        grads = transform.collect_param_grads(tape, params, grad_map)
+        tape, grads = _manual_step(tree, params, batch)
         alive = weakref.ref(tape)
         del tape
         assert alive() is None
@@ -407,9 +406,14 @@ def test_a_step_tape_is_freed_without_the_cyclic_collector():
 
 
 def test_batch_step_rejects_an_empty_batch():
+    # each entry point names itself
     tree, params, _ = _batch_case(np.random.default_rng(211), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="loss_and_grad"):
         loss_and_grad(tree, params, [])
+    with pytest.raises(ValueError, match="batch_loss"):
+        batch_loss([], [])
+    with pytest.raises(ValueError, match="embed_paths"):
+        embed_paths([])
 
 
 def test_batch_loss_gradient_matches_fd():
@@ -424,19 +428,9 @@ def test_batch_loss_gradient_matches_fd():
                 batch.append(q)
         if len(batch) < 3:
             continue
-        n_w = len(params.weights)
         # the last-layer bias moves every embedding together, so the loss is
         # flat along it (criterion 2 checks that direction analytically)
-        last_bias = params.biases[-1].copy()
-        arrays = [w.copy() for w in params.weights] + [b.copy() for b in params.biases[:-1]]
-
-        def build_loss(tape, refs):
-            bound = bind_as_leaves(tape, params.arch, refs[:n_w],
-                                   list(refs[n_w:]) + [tape.leaf(last_bias)])
-            traces = [greedy_path(tree, bound, s.features) for s in batch]
-            return batch_loss(tape, traces, [s.label for s in batch])[0]
-
-        assert grad_check(build_loss, arrays, step=1e-5) < 1e-4
+        assert fd_max_rel_error(tree, params, batch, step=1e-5) < 1e-4
         checked += 1
 
 
@@ -445,17 +439,15 @@ def test_embed_paths_block_is_queries_then_candidate_union():
     for k in (1, 2, 5, 12):
         for _ in range(4):
             tree, params, batch = _batch_case(rng, k)
-            tape = Tape()
             traces = [greedy_path(tree, params, s.features) for s in batch]
-            ref, walked, cand_rows = embed_paths(tape, traces)
-            block = tape.value(ref)
+            raw, walked, cand_rows = embed_paths(traces)
             union = []
             for t in traces:
                 if t.decisions:
                     union += [c for c in t.decisions[-1].candidates if c not in union]
             rows = [s.features for s in batch] + [tree.nodes[c].sample.features for c in union]
-            assert block.shape == walked.shape == (k + len(union), params.arch.out_dim)
-            assert block.tobytes() == embed(params, np.array(rows)).tobytes()
+            assert raw.tobytes() == np.array(rows).tobytes()
+            assert walked.shape == (k + len(union), params.arch.out_dim)
             # the walked block holds the rows the walks compared
             want = np.concatenate([[t.embedded for t in traces], tree.emb[union]])
             assert walked.tobytes() == want.tobytes()
@@ -469,7 +461,7 @@ def test_embed_paths_block_is_queries_then_candidate_union():
 @pytest.mark.parametrize("use_mlp", [False, True])
 def test_head_distances_are_the_walks_last_distances(use_mlp):
     # The head reads the rows the walks compared (the query block of
-    # loss_and_grad, then the tree's rows), not the tape block, so every
+    # loss_and_grad, then the tree's rows), not a new embedding, so every
     # query's distances are bitwise its walk's last decision's.
     rng = np.random.default_rng(215)
     for k in (1, 5, 20):
@@ -482,7 +474,7 @@ def test_head_distances_are_the_walks_last_distances(use_mlp):
             embedder = IDENT if params is None else make_embedder(params)
             rows = embedder(np.array([s.features for s in batch]))
             traces = [greedy_path(tree, params, s.features, r) for s, r in zip(batch, rows)]
-            _, head = batch_loss(Tape(), traces, [s.label for s in batch])
+            _, head = batch_loss(traces, [s.label for s in batch])
             for t, d in zip(traces, head.distances):
                 if t.decisions:
                     assert d.tobytes() == t.decisions[-1].distances.tobytes()
@@ -496,11 +488,11 @@ def test_embed_paths_rejects_traces_of_different_trees():
     traces = [greedy_path(tree, params, batch[0].features),
               greedy_path(other, params, batch[1].features)]
     with pytest.raises(ValueError):
-        embed_paths(Tape(), traces)
+        embed_paths(traces)
     # nor of different parameter sets
     traces[1] = greedy_path(tree, copy.deepcopy(params), batch[1].features)
     with pytest.raises(ValueError):
-        embed_paths(Tape(), traces)
+        embed_paths(traces)
 
 
 def test_batch_step_embeds_no_tree_row(monkeypatch):
@@ -520,24 +512,26 @@ def test_batch_step_embeds_no_tree_row(monkeypatch):
     assert calls == [(6, 3)]
 
 
-def test_batch_step_tape_is_the_mlp_chain_and_one_head():
-    # parameter leaves, the raw-feature constant, matmul_add and activation
-    # per layer, then the head: 4L + 1 nodes whatever the batch size
+def test_batch_step_tape_records_one_block_per_layer():
+    # the raw block, then each hidden layer's output: one recorded block per
+    # layer whatever the batch size, and one backward per step
     rng = np.random.default_rng(216)
     params = init_params(MlpArchitecture((3, 7, 5, 4)), 217)
     tree = random_tree(rng, n_range=(5, 20), dim=3, class_count=3, embedder=make_embedder(params))
     sizes = []
     real = Tape.backward
 
-    def counting(tape, ref):
-        sizes.append(len(tape))
-        return real(tape, ref)
+    def counting(tape, g):
+        sizes.append((len(tape), len(g)))
+        return real(tape, g)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(Tape, "backward", counting)
         for k in (1, 10, 200):
             loss_and_grad(tree, params, random_samples(rng, k, 3, 3))
-    assert sizes == [4 * params.arch.n_layers + 1] * 3
+    assert [n for n, _ in sizes] == [params.arch.n_layers] * 3
+    # the backward's block is the queries and their candidates' union
+    assert all(rows > k for (_, rows), k in zip(sizes, (1, 10, 200)))
 
 
 # ---- structural misses -----------------------------------------------------------
@@ -574,7 +568,7 @@ def test_clamps_are_exactly_structural_misses(use_mlp):
             _, _, clamps = loss_and_grad(tree, params, batch)
         else:
             traces = [greedy_path(tree, None, s.features) for s in batch]
-            clamps = batch_loss(Tape(), traces, [s.label for s in batch])[1].misses
+            clamps = batch_loss(traces, [s.label for s in batch])[1].misses
         assert clamps == want
         total_misses += want
         total += len(batch)
@@ -614,16 +608,7 @@ def test_leaf_stop_miss_gradient_matches_fd():
         value, grads, clamps = loss_and_grad(tree, params, query)
         assert clamps == 1 and MISS_LOSS - 5.0 < value < MISS_LOSS
         assert np.max(np.abs(grads.flat)) > 1e-3
-        n_w = len(params.weights)
-        last_bias = params.biases[-1].copy()
-        arrays = [w.copy() for w in params.weights] + [b.copy() for b in params.biases[:-1]]
-
-        def build_loss(tape, refs):
-            bound = bind_as_leaves(tape, params.arch, refs[:n_w],
-                                   list(refs[n_w:]) + [tape.leaf(last_bias)])
-            return batch_loss(tape, [greedy_path(tree, bound, query.features)], [query.label])[0]
-
-        assert grad_check(build_loss, arrays, step=1e-5) < 1e-4
+        assert fd_max_rel_error(tree, params, query, step=1e-5) < 1e-4
 
 
 def test_stayed_stop_miss_has_no_gradient():
@@ -646,19 +631,16 @@ def test_present_true_class_below_the_floor_gets_the_exact_log_ratio():
     tree.add_child(0, Sample([101.0], 1))
     pt = greedy_path(tree, None, np.array([-1.0]))
     assert pt.stop_mode == STOP_STAYED and list(pt.decisions[-1].distances) == [1.0, 102.0]
-    head = batch_loss(Tape(), [pt], [1])[1]
+    head = batch_loss([pt], [1])[1]
     want = np.logaddexp(-1.0, -102.0) - (-102.0)
     assert head.misses == 0
     assert abs(head.value - want) <= 1e-12 * want and head.value > MISS_LOSS
     assert abs(head.value - (101.0 + math.log1p(math.exp(-101.0)))) <= 1e-12 * want
 
-    _, walked, rows = embed_paths(Tape(), [pt])
-
-    def build_loss(t, refs):
-        h = loss_head(t.value(refs[0]), rows, [pt], [1])
-        return t.push(h.value, (refs[0],), lambda g: (g * h.grad,))
-
-    assert grad_check(build_loss, [walked], step=1e-5) < 1e-6
+    _, walked, rows = embed_paths([pt])
+    numeric = fd_gradient(lambda b: float(loss_head(b, rows, [pt], [1]).value), walked, step=1e-5)
+    rel = np.abs(head.grad - numeric) / np.maximum(1e-8, np.abs(head.grad) + np.abs(numeric))
+    assert np.max(rel) < 1e-6
 
 
 # ---- the grouped head against the per-query oracle ----------------------------
@@ -715,7 +697,7 @@ def test_grouped_head_is_bitwise_the_per_query_head():
         queries = np.array([tree.nodes[i].sample.features for i in at]) + scale * rng.normal(size=(40, dim))
         traces = [greedy_path(tree, None, q) for q in queries]
         labels = rng.integers(tree.class_count, size=40).tolist()
-        _, walked, rows = embed_paths(Tape(), traces)
+        _, walked, rows = embed_paths(traces)
         for block in (walked, walked * 10.0 ** rng.integers(-3, 4, size=(len(walked), 1))):
             _assert_heads_equal(loss_head(block, rows, traces, labels),
                                 ref_loss_head(block, rows, traces, labels))
@@ -743,7 +725,7 @@ def test_grouped_head_is_bitwise_the_per_query_head():
     tree = new_tree(Sample(rng.normal(size=3), 1), class_count=3)
     traces = [greedy_path(tree, None, rng.normal(size=3)) for _ in range(6)]
     labels = [0, 1, 2, 1, 1, 0]
-    _, walked, rows = embed_paths(Tape(), traces)
+    _, walked, rows = embed_paths(traces)
     head = loss_head(walked, rows, traces, labels)
     _assert_heads_equal(head, ref_loss_head(walked, rows, traces, labels))
     assert head.misses == 3 and head.value == 3 * MISS_LOSS and not head.grad.any()

@@ -1,6 +1,5 @@
-"""Tape engine: forward values, vjps against central differences, shape
-validation and the backward sweep; the distance and log-softmax kernels,
-and the loss head's distance gradient."""
+"""The step record's written-out backward against central differences; the
+distance and log-softmax kernels, and the loss head's distance gradient."""
 
 import math
 
@@ -8,217 +7,118 @@ import numpy as np
 import pytest
 
 from betree import Sample, embed_paths, greedy_path, loss_head, new_tree
-from betree.tape import (
-    DISTANCE_EPS,
-    ShapeError,
-    Tape,
-    affine,
-    grad_check,
-    l2_value,
-    neg_dist_log_softmax_value,
-)
-from helpers import tape_sum
-from oracles import affine_error_bound, fd_gradient, ref_affine, softmax_neg
+from betree.tape import DISTANCE_EPS, Tape, l2_value, neg_dist_log_softmax_value
+from betree.transform import MlpArchitecture, ParameterSet, embed, forward, init_params
+from oracles import fd_gradient, softmax_neg
 
 
-def test_leaf_and_constant_hold_values():
+def _chain_case(activation, k, seed):
+    """(params, raw block of k rows, upstream gradient g) for a 3-layer MLP;
+    the relu case keeps every pre-activation at least 0.05 from 0, so the
+    finite differences never cross a kink."""
+    rng = np.random.default_rng(seed)
+    params = init_params(MlpArchitecture((3, 5, 4, 2), activation), seed)
+    while True:
+        x = rng.normal(size=(k, 3))
+        h, far = x, True
+        for w, b in zip(params.weights[:-1], params.biases[:-1]):
+            pre = h @ w.T + b
+            far &= bool(np.min(np.abs(pre)) > 0.05)
+            h = np.maximum(pre, 0.0) if activation == "relu" else np.tanh(pre)
+        if far or activation == "tanh":
+            return params, x, rng.normal(size=(k, 2))
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("k", [1, 6])
+def test_backward_matches_fd(activation, k):
+    # the gradient of sum(g * output) in every parameter, on one row and on
+    # a row block, against central differences of the plain embedding
+    params, x, g = _chain_case(activation, k, 40 + k)
     tape = Tape()
-    a = tape.leaf([1.0, 2.0])
-    b = tape.constant(3.0)
-    assert np.array_equal(tape.value(a), [1.0, 2.0])
-    assert float(tape.value(b)) == 3.0
-    assert a in tape.leaf_refs and b not in tape.leaf_refs
+    out = forward(tape, params, x)
+    assert out.tobytes() == embed(params, x).tobytes()
+    assert len(tape) == params.arch.n_layers and tape.inputs[0].tobytes() == x.tobytes()
+    grads = tape.backward(g)
+
+    def f(flat):
+        return float(np.sum(g * embed(ParameterSet(params.arch, flat), x)))
+
+    assert np.allclose(grads.flat, fd_gradient(f, params.flat), atol=1e-7)
 
 
-def test_inputs_reject_rank_3():
+def test_relu_pre_activation_of_zero_takes_the_zero_subgradient():
+    # hidden unit 0's pre-activation is exactly 0 for the row; unit 1's is
+    # positive. Through unit 0 nothing moves; through unit 1 the weights do.
+    arch = MlpArchitecture((2, 2, 1))
+    params = ParameterSet(arch, np.zeros(arch.n_params))
+    params.weights[0][...] = [[1.0, 1.0], [1.0, 0.0]]
+    params.weights[1][...] = [[1.0, 1.0]]
     tape = Tape()
-    with pytest.raises(ShapeError):
-        tape.leaf(np.zeros((2, 2, 2)))
-    with pytest.raises(ShapeError):
-        tape.constant(np.zeros((1, 1, 1)))
+    forward(tape, params, np.array([[1.0, -1.0]]))
+    assert tape.inputs[1].tolist() == [[0.0, 1.0]]
+    grads = tape.backward(np.ones((1, 1)))
+    assert grads.weights[0].tolist() == [[0.0, 0.0], [1.0, -1.0]]
+    assert grads.biases[0].tolist() == [0.0, 1.0]
 
 
+class _Unreadable:
+    """Stands in for a weight that must not be read: numpy's conversion of
+    it raises."""
 
-def test_leaf_rejects_a_gradient_destination_of_another_shape():
-    with pytest.raises(ShapeError):
-        Tape().leaf(np.zeros((2, 3)), into=np.zeros((3, 2)))
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("the first layer's weight was read")
 
 
-def test_matmul_add_value():
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_first_layer_computes_no_input_gradient(activation):
+    # the raw block gets no gradient, so the backward never multiplies by
+    # the first layer's weight; the result is unchanged without it
+    params, x, g = _chain_case(activation, 4, 50)
     tape = Tape()
-    w = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    x = np.array([1.0, -1.0])
-    b = np.array([0.5, 0.5, 0.5])
-    out = tape.matmul_add(tape.leaf(w), tape.leaf(x), tape.leaf(b))
-    assert np.allclose(tape.value(out), w @ x + b)
+    forward(tape, params, x)
+    want = tape.backward(g).flat.tobytes()
+    tape.params = ParameterSet(params.arch, params.flat)
+    tape.params.weights[0] = _Unreadable()
+    assert tape.backward(g).flat.tobytes() == want
 
 
-def test_matmul_add_shape_errors_name_the_operand():
+def test_gradient_lands_in_the_returned_vectors_views_and_is_never_aliased():
+    # each layer's weight product and bias sum are written into views of one
+    # fresh vector, bitwise the plain expressions; a later step's backward
+    # returns another vector and leaves the earlier one alone
+    params, x, g = _chain_case("tanh", 5, 60)
     tape = Tape()
-    w = tape.leaf(np.ones((2, 3)))
-    x_bad = tape.leaf(np.ones(2))
-    b = tape.leaf(np.ones(2))
-    with pytest.raises(ShapeError, match="input"):
-        tape.matmul_add(w, x_bad, b)
-    with pytest.raises(ShapeError, match="weight"):
-        tape.matmul_add(x_bad, x_bad, b)
-    x = tape.leaf(np.ones(3))
-    b_bad = tape.leaf(np.ones(3))
-    with pytest.raises(ShapeError, match="bias"):
-        tape.matmul_add(w, x, b_bad)
+    forward(tape, params, x)
+    grads = tape.backward(g)
+    for gw, gb in zip(grads.weights, grads.biases):
+        assert np.shares_memory(gw, grads.flat) and np.shares_memory(gb, grads.flat)
+    want, up = [], g
+    for i in range(params.arch.n_layers - 1, -1, -1):
+        h = tape.inputs[i]
+        want[:0] = [(up.T @ h).ravel(), up.sum(axis=0)]
+        if i:
+            up = (up @ params.weights[i]) * (1.0 - h * h)
+    assert grads.flat.tobytes() == np.concatenate(want).tobytes()
+
+    kept = grads.flat.copy()
+    later = Tape()
+    forward(later, params, x[::-1])
+    other = later.backward(g[::-1])
+    again = tape.backward(g)
+    for vec in (other.flat, again.flat):
+        assert not np.shares_memory(vec, grads.flat)
+    assert grads.flat.tobytes() == kept.tobytes() == again.flat.tobytes()
 
 
-def test_matmul_add_gradients_match_fd():
-    rng = np.random.default_rng(0)
-    w = rng.normal(size=(3, 4))
-    x = rng.normal(size=4)
-    b = rng.normal(size=3)
-
-    def run(w_, x_, b_):
-        tape = Tape()
-        rw, rx, rb = tape.leaf(w_), tape.leaf(x_), tape.leaf(b_)
-        out = tape_sum(tape, [tape.matmul_add(rw, rx, rb)])
-        return tape, (rw, rx, rb), out
-
-    tape, refs, out = run(w, x, b)
-    grads = tape.backward(out)
-    for ref, arr, idx in ((refs[0], w, 0), (refs[1], x, 1), (refs[2], b, 2)):
-        def f(a, idx=idx):
-            parts = [w, x, b]
-            parts[idx] = a
-            t, _, o = run(*parts)
-            return float(t.value(o))
-
-        assert np.allclose(grads[ref], fd_gradient(f, arr), atol=1e-7)
-
-
-def test_affine_block_rows_agree_with_one_row_calls_to_rounding():
-    # One GEMM for a block and for one row: the BLAS summation order
-    # follows the block's shape, so a block row and its one-row call are
-    # two float evaluations of the same entries, each within the rounding
-    # bound of the reference.
-    rng = np.random.default_rng(8)
-    for m, n in ((1, 1), (3, 2), (100, 2), (30, 100), (400, 784), (20, 400)):
-        w, b = rng.normal(size=(m, n)), rng.normal(size=m)
-        for k in (1, 3, 64):
-            x = rng.normal(size=(k, n))
-            block = affine(w, x, b)
-            assert block.shape == (k, m)
-            rows = np.array([affine(w, row, b) for row in x])
-            assert np.all(np.abs(block - rows) <= 2 * affine_error_bound(w, x, b))
-
-
-@pytest.mark.parametrize("sizes", [(784, 400, 400, 20), (2, 100, 100, 30, 2)])
-def test_affine_entries_match_an_fsum_reference(sizes):
-    # Every entry against an independent per-entry math.fsum of the
-    # products and the bias, within the dot-product error bound. A wrong
-    # transpose (the 400 x 400 and 100 x 100 layers are square) or bias
-    # broadcast is off by O(1), far outside it.
-    rng = np.random.default_rng(len(sizes))
-    for n, m in zip(sizes[:-1], sizes[1:]):
-        w, b, x = rng.normal(size=(m, n)), rng.normal(size=m), rng.normal(size=(200, n))
-        want, bound = ref_affine(w, x, b), affine_error_bound(w, x, b)
-        assert np.all(np.abs(affine(w, x[0], b) - want[0]) <= bound[0])
-        for k in (1, 2, 17, 200):
-            got = affine(w, x[:k], b)
-            assert got.shape == (k, m)
-            assert np.all(np.abs(got - want[:k]) <= bound[:k])
-
-
-def test_matmul_add_block_value_and_shape_errors():
-    rng = np.random.default_rng(9)
-    w, x, b = rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=3)
+def test_forward_records_one_block_per_layer_afresh():
+    # a second forward on the same tape replaces the record
+    params, x, _ = _chain_case("relu", 3, 70)
     tape = Tape()
-    rw, rb = tape.leaf(w), tape.leaf(b)
-    out = tape.matmul_add(rw, tape.leaf(x), rb)
-    assert np.array_equal(tape.value(out), affine(w, x, b))
-    with pytest.raises(ShapeError, match="input"):
-        tape.matmul_add(rw, tape.leaf(np.ones((5, 3))), rb)
-    with pytest.raises(ShapeError, match="input"):
-        tape.matmul_add(rw, tape.leaf(np.ones((0, 0))), rb)
-
-
-def test_matmul_add_block_gradients_match_fd():
-    rng = np.random.default_rng(10)
-    w = rng.normal(size=(3, 4))
-    x = rng.normal(size=(5, 4))
-    b = rng.normal(size=3)
-
-    def run(w_, x_, b_):
-        # tanh readout, so every output entry gets its own upstream gradient
-        tape = Tape()
-        rw, rx, rb = tape.leaf(w_), tape.leaf(x_), tape.leaf(b_)
-        out = tape_sum(tape, [tape.tanh(tape.matmul_add(rw, rx, rb))])
-        return tape, (rw, rx, rb), out
-
-    tape, refs, out = run(w, x, b)
-    grads = tape.backward(out)
-    for ref, arr, idx in ((refs[0], w, 0), (refs[1], x, 1), (refs[2], b, 2)):
-        def f(a, idx=idx):
-            parts = [w, x, b]
-            parts[idx] = a
-            t, _, o = run(*parts)
-            return float(t.value(o))
-
-        assert np.allclose(grads[ref], fd_gradient(f, arr), atol=1e-7)
-
-
-def test_matmul_add_constant_input_gets_no_gradient():
-    # the first layer's input is the raw-feature block, a constant: its
-    # input gradient is never formed, and the weight and bias gradients are
-    # bitwise those of the same pass with a leaf input
-    rng = np.random.default_rng(12)
-    w1, b1 = rng.normal(size=(6, 4)), rng.normal(size=6)
-    w2, b2 = rng.normal(size=(3, 6)), rng.normal(size=3)
-    x = rng.normal(size=(5, 4))
-
-    def run(as_leaf):
-        tape = Tape()
-        refs = [tape.leaf(a) for a in (w1, b1, w2, b2)]
-        rx = tape.leaf(x) if as_leaf else tape.constant(x)
-        h = tape.relu(tape.matmul_add(refs[0], rx, refs[1]))
-        out = tape_sum(tape, [tape.tanh(tape.matmul_add(refs[2], h, refs[3]))])
-        grads = tape.backward(out)
-        return tape, rx, [grads[r] for r in refs]
-
-    tape, rx, got = run(False)
-    _, _, want = run(True)
-    assert tape.grads[rx] is None and rx not in tape.leaf_refs
-    assert all(g.tobytes() == h.tobytes() for g, h in zip(got, want))
-
-
-@pytest.mark.parametrize("op,ref_fn", [
-    ("relu", lambda v: np.maximum(v, 0.0)),
-    ("tanh", np.tanh),
-])
-def test_elementwise_values(op, ref_fn):
-    rng = np.random.default_rng(1)
-    v = rng.normal(size=5)
-    tape = Tape()
-    out = getattr(tape, op)(tape.leaf(v))
-    assert np.array_equal(tape.value(out), ref_fn(v))
-
-
-@pytest.mark.parametrize("op", ["relu", "tanh"])
-def test_elementwise_gradients_match_fd(op):
-    rng = np.random.default_rng(2)
-    v = rng.normal(size=5) + np.sign(rng.normal(size=5)) * 0.05  # keep away from 0
-
-    def f(a):
-        tape = Tape()
-        return float(tape.value(tape_sum(tape, [getattr(tape, op)(tape.leaf(a))])))
-
-    tape = Tape()
-    ref = tape.leaf(v)
-    grads = tape.backward(tape_sum(tape, [getattr(tape, op)(ref)]))
-    assert np.allclose(grads[ref], fd_gradient(f, v), atol=1e-7)
-
-
-def test_relu_subgradient_at_zero_is_zero():
-    tape = Tape()
-    ref = tape.leaf([0.0, -1.0, 2.0])
-    grads = tape.backward(tape_sum(tape, [tape.relu(ref)]))
-    assert np.array_equal(grads[ref], [0.0, 0.0, 1.0])
+    forward(tape, params, x)
+    forward(tape, params, x[:1])
+    assert len(tape) == params.arch.n_layers
+    assert [len(h) for h in tape.inputs] == [1] * params.arch.n_layers
 
 
 # The tape has no distance op: the soft path's loss head computes its
@@ -234,7 +134,7 @@ def _head_case(points, labels, query):
     for p, y in zip(points[1:], labels[1:]):
         tree.add_child(0, Sample(p, y))
     pt = greedy_path(tree, None, query)
-    _, walked, rows = embed_paths(Tape(), [pt])
+    _, walked, rows = embed_paths([pt])
     return pt, walked, rows
 
 
@@ -327,47 +227,3 @@ def test_log_softmax_shift_invariance():
 def test_log_softmax_rejects_empty():
     with pytest.raises(ValueError):
         neg_dist_log_softmax_value(np.zeros(0))
-
-
-def test_backward_requires_scalar_loss():
-    tape = Tape()
-    ref = tape.leaf(np.ones(3))
-    with pytest.raises(ShapeError):
-        tape.backward(ref)
-
-
-def test_backward_accumulates_across_reuse():
-    tape = Tape()
-    ref = tape.leaf(2.0)
-    out = tape_sum(tape, [ref, ref, ref, tape_sum(tape, [ref, ref])])  # 3x + 2x -> grad 5
-    grads = tape.backward(out)
-    assert float(grads[ref]) == 5.0
-
-
-def test_backward_zeros_for_unreachable_leaves():
-    tape = Tape()
-    used = tape.leaf(3.0)
-    unused = tape.leaf(np.ones((2, 2)))
-    out = tape_sum(tape, [used], [6.0])
-    grads = tape.backward(out)
-    assert np.array_equal(grads[unused], np.zeros((2, 2)))
-    assert float(grads[used]) == 6.0
-
-
-def test_grad_check_accepts_correct_gradients():
-    def build_loss(tape, refs):
-        return tape_sum(tape, [tape.tanh(refs[0])])
-
-    worst = grad_check(build_loss, [np.array([1.0, -2.0, 0.5])])
-    assert worst < 1e-8
-
-
-def test_grad_check_rejects_bad_step_and_nonfinite_loss():
-    with pytest.raises(ValueError):
-        grad_check(lambda t, r: r[0], [np.array(1.0)], step=0.0)
-
-    def exploding(tape, refs):
-        return tape_sum(tape, refs, [math.inf])
-
-    with pytest.raises(FloatingPointError):
-        grad_check(exploding, [np.array(1.0)])

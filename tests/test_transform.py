@@ -1,4 +1,5 @@
-"""MLP transform: init, on/off-tape forward agreement, Adam, checkpoints."""
+"""MLP transform: init, the affine kernel, recorded and plain forward
+agreement, Adam, checkpoints."""
 
 import math
 import tracemalloc
@@ -15,8 +16,7 @@ from betree.transform import (
     NonFiniteGradientError,
     ParameterSet,
     adam_step,
-    bind_params,
-    collect_param_grads,
+    affine,
     embed,
     forward,
     identity_embedder,
@@ -25,8 +25,14 @@ from betree.transform import (
     make_embedder,
     save_checkpoint,
 )
-from helpers import tape_sum
-from oracles import mlp_error_bound, ref_adam_step, ref_mlp_forward
+from oracles import (
+    affine_error_bound,
+    mlp_error_bound,
+    ref_adam_step,
+    ref_affine,
+    ref_affine_entries,
+    ref_mlp_forward,
+)
 
 
 def test_architecture_validation():
@@ -63,26 +69,67 @@ def test_parameter_set_rejects_wrong_shapes():
         ParameterSet(arch, np.zeros(6))
 
 
+def test_affine_block_rows_agree_with_one_row_calls_to_rounding():
+    # One GEMM for a block and for one row: the BLAS summation order
+    # follows the block's shape, so a block row and its one-row call are
+    # two float evaluations of the same entries, each within the rounding
+    # bound of the reference.
+    rng = np.random.default_rng(8)
+    for m, n in ((1, 1), (3, 2), (100, 2), (30, 100), (400, 784), (20, 400)):
+        w, b = rng.normal(size=(m, n)), rng.normal(size=m)
+        for k in (1, 3, 64):
+            x = rng.normal(size=(k, n))
+            block = affine(w, x, b)
+            assert block.shape == (k, m)
+            rows = np.array([affine(w, row, b) for row in x])
+            assert np.all(np.abs(block - rows) <= 2 * affine_error_bound(w, x, b))
+
+
+@pytest.mark.parametrize("sizes", [(784, 400, 400, 20), (2, 100, 100, 30, 2)])
+def test_affine_entries_match_an_fsum_reference(sizes):
+    # Entries against an independent per-entry math.fsum of the products
+    # and the bias, within the dot-product error bound. A wrong transpose
+    # (the 400 x 400 and 100 x 100 layers are square) or bias broadcast is
+    # off by O(1), far outside it. The one-row call and the 1-, 2- and
+    # 17-row blocks are checked whole; the 200-row block on a seeded
+    # sample of entries that covers every row and every column.
+    rng = np.random.default_rng(len(sizes))
+    for n, m in zip(sizes[:-1], sizes[1:]):
+        w, b, x = rng.normal(size=(m, n)), rng.normal(size=m), rng.normal(size=(200, n))
+        want, bound = ref_affine(w, x[:17], b), affine_error_bound(w, x, b)
+        assert np.all(np.abs(affine(w, x[0], b) - want[0]) <= bound[0])
+        for k in (1, 2, 17):
+            got = affine(w, x[:k], b)
+            assert got.shape == (k, m)
+            assert np.all(np.abs(got - want[:k]) <= bound[:k])
+        got = affine(w, x, b)
+        assert got.shape == (200, m)
+        size = max(200, m)
+        rows, cols = np.resize(rng.permutation(200), size), np.resize(rng.permutation(m), size)
+        assert set(rows) == set(range(200)) and set(cols) == set(range(m))
+        assert np.all(np.abs(got[rows, cols] - ref_affine_entries(w, x, b, rows, cols))
+                      <= bound[rows, cols])
+
+
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 def test_forward_matches_embed_bitwise_and_oracle(activation):
     rng = np.random.default_rng(10)
     arch = MlpArchitecture((4, 7, 5, 3), activation)
     params = init_params(arch, 11)
-    for _ in range(10):
-        x = rng.normal(size=4)
-        tape = Tape()
-        on_tape = tape.value(forward(tape, params, x))
-        off_tape = embed(params, x)
-        assert np.array_equal(on_tape, off_tape)
-        oracle = ref_mlp_forward(params.weights, params.biases, activation, x)
-        assert np.allclose(off_tape, oracle, atol=1e-12)
+    for k in (1, 2, 10):
+        x = rng.normal(size=(k, 4))
+        recorded = forward(Tape(), params, x)
+        plain = embed(params, x)
+        assert recorded.tobytes() == plain.tobytes()
+        oracle = [ref_mlp_forward(params.weights, params.biases, activation, row) for row in x]
+        assert np.allclose(plain, oracle, atol=1e-12)
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 @pytest.mark.parametrize("sizes", [(2, 100, 100, 30, 2), (784, 400, 400, 20)])
 def test_block_rows_agree_with_per_row_embed_to_rounding(sizes, activation):
     # One affine kernel, a GEMM, for one row and for a row block. The same
-    # block embeds bitwise alike off and on the tape; a block row and the
+    # block embeds bitwise alike plain and recorded; a block row and the
     # row's one-row embedding are two float evaluations of the MLP, so they
     # agree within twice its rounding bound.
     rng = np.random.default_rng(sum(sizes) + len(activation))
@@ -91,8 +138,7 @@ def test_block_rows_agree_with_per_row_embed_to_rounding(sizes, activation):
         block = rng.normal(size=(k, sizes[0]))
         rows = embed(params, block)
         assert rows.shape == (k, sizes[-1])
-        tape = Tape()
-        assert tape.value(forward(tape, params, block)).tobytes() == rows.tobytes()
+        assert forward(Tape(), params, block).tobytes() == rows.tobytes()
         per_row = np.array([embed(params, x) for x in block])
         bound = mlp_error_bound(params.weights, params.biases, activation, block)
         assert np.all(np.abs(rows - per_row) <= 2 * bound)
@@ -100,97 +146,38 @@ def test_block_rows_agree_with_per_row_embed_to_rounding(sizes, activation):
 
 
 def test_forward_and_embed_validate_input_shape():
+    # embed takes one row or a row block, the recorded forward a block only
     params = init_params(MlpArchitecture((4, 3)), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="embed"):
         embed(params, np.ones(5))
-    with pytest.raises(ValueError):
-        forward(Tape(), params, np.ones(5))
+    with pytest.raises(ValueError, match="forward"):
+        forward(Tape(), params, np.ones(4))
     for bad in (np.ones((2, 5)), np.ones((2, 2, 4))):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="embed"):
             embed(params, bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="forward"):
             forward(Tape(), params, bad)
 
 
-def test_block_forward_gradient_matches_per_row_forwards():
+def test_block_backward_matches_per_row_backwards():
     # The block's GEMM weight gradient sums the rows' outer products in
-    # another order, so it matches per-row forwards to rounding only.
+    # another order, so it matches the sum of one-row backwards to rounding
+    # only.
     rng = np.random.default_rng(31)
     params = init_params(MlpArchitecture((3, 6, 4, 2), "tanh"), 32)
-    block = rng.normal(size=(5, 3))
-
-    # a tanh readout, so every output entry gets its own upstream gradient
-    tape = Tape()
-    out = tape_sum(tape, [tape.tanh(forward(tape, params, block))])
-    got = collect_param_grads(tape, params, tape.backward(out))
+    block, g = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
 
     tape = Tape()
-    out = tape_sum(tape, [tape.tanh(forward(tape, params, x)) for x in block])
-    want = collect_param_grads(tape, params, tape.backward(out))
-    assert np.allclose(got.flat, want.flat, rtol=1e-12, atol=1e-14)
+    forward(tape, params, block)
+    got = tape.backward(g)
+
+    want = np.zeros_like(got.flat)
+    for x, gx in zip(block, g):
+        tape = Tape()
+        forward(tape, params, x[None])
+        want += tape.backward(gx[None]).flat
+    assert np.allclose(got.flat, want, rtol=1e-12, atol=1e-14)
     assert not np.array_equal(got.flat, np.zeros_like(got.flat))
-
-
-def test_gradient_lands_in_the_tape_vector_and_equals_the_leaf_map():
-    # one forward: every weight and bias gradient is written in place, so
-    # the returned vector is the one bind_params allocated and the leaf map
-    # hands out its views; two forwards accumulate and are copied in
-    rng = np.random.default_rng(33)
-    params = init_params(MlpArchitecture((3, 6, 4, 2), "tanh"), 34)
-    for blocks in ([rng.normal(size=(5, 3))], [rng.normal(size=(5, 3)), rng.normal(size=3)]):
-        tape = Tape()
-        out = tape_sum(tape, [tape.tanh(forward(tape, params, x)) for x in blocks])
-        grad_map = tape.backward(out)
-        refs = bind_params(tape, params)
-        want = np.concatenate([np.ravel(grad_map[r]) for pair in refs for r in pair])
-        grads = collect_param_grads(tape, params, grad_map)
-        assert grads.flat.tobytes() == want.tobytes()
-        assert grads is collect_param_grads(tape, params, grad_map)
-        landed = [np.shares_memory(grad_map[r], grads.flat) for pair in refs for r in pair]
-        assert all(landed) == (len(blocks) == 1)
-
-        # a second sweep over the same tape rewrites the same vector alike
-        again = collect_param_grads(tape, params, tape.backward(out))
-        assert again is grads and again.flat.tobytes() == want.tobytes()
-
-
-def test_unreachable_parameter_leaves_get_zero_gradients():
-    params = init_params(MlpArchitecture((3, 4, 2)), 35)
-    other = init_params(MlpArchitecture((3, 4, 2)), 36)
-    tape = Tape()
-    out = tape_sum(tape, [forward(tape, params, np.ones(3))])
-    bind_params(tape, other)  # bound, but the loss never reads it
-    grad_map = tape.backward(out)
-    assert not collect_param_grads(tape, other, grad_map).flat.any()
-    assert collect_param_grads(tape, params, grad_map).flat.any()
-
-
-def test_bind_params_reuses_leaves():
-    params = init_params(MlpArchitecture((3, 4, 2)), 1)
-    tape = Tape()
-    refs1 = bind_params(tape, params)
-    refs2 = bind_params(tape, params)
-    assert refs1 is refs2
-
-
-def test_gradients_accumulate_across_forwards_on_one_tape():
-    rng = np.random.default_rng(12)
-    params = init_params(MlpArchitecture((3, 5, 2)), 13)
-    x1, x2 = rng.normal(size=3), rng.normal(size=3)
-
-    def single(x):
-        tape = Tape()
-        out = tape_sum(tape, [forward(tape, params, x)])
-        return collect_param_grads(tape, params, tape.backward(out))
-
-    tape = Tape()
-    joint = tape_sum(tape, [forward(tape, params, x1), forward(tape, params, x2)])
-    got = collect_param_grads(tape, params, tape.backward(joint))
-    g1, g2 = single(x1), single(x2)
-    for a, b, c in zip(got.weights, g1.weights, g2.weights):
-        assert np.allclose(a, b + c, atol=1e-12)
-    for a, b, c in zip(got.biases, g1.biases, g2.biases):
-        assert np.allclose(a, b + c, atol=1e-12)
 
 
 def test_embedder_stamps():
@@ -356,11 +343,8 @@ def test_layer_arrays_are_views_of_the_flat_vector(tmp_path):
     save_checkpoint(params, tmp_path / "net.ckpt")
     loaded = load_checkpoint(tmp_path / "net.ckpt")
     tape = Tape()
-    out = tape_sum(tape, [forward(tape, params, np.ones(3))])
-    grad_map = tape.backward(out)
-    grads = collect_param_grads(tape, params, grad_map)
-    for (w_ref, b_ref), gw, gb in zip(bind_params(tape, params), grads.weights, grads.biases):
-        assert np.array_equal(gw, grad_map[w_ref]) and np.array_equal(gb, grad_map[b_ref])
+    forward(tape, params, np.ones((1, 3)))
+    grads = tape.backward(np.ones((1, 2)))
     stepped = adam_step(params, grads, AdamState.fresh(params))
     for p in (params, loaded, grads, stepped):
         assert p.flat.shape == (p.arch.n_params,)
