@@ -63,6 +63,7 @@ class Tape:
     def backward(self, g: np.ndarray) -> ParameterSet:
         """The gradient of sum(g * output) with respect to the parameters,
         for `g` of the output block's shape, in a fresh gradient vector.
+        Raises ValueError for a `g` of another shape, or before any forward.
 
         Each layer writes its weight product and bias sum straight into
         that vector's views. Below the top layer, the gradient goes through
@@ -72,6 +73,11 @@ class Tape:
         1 - out². The raw block gets no gradient.
         """
         params = self.params
+        if params is None:
+            raise ValueError("backward: nothing recorded; run transform.forward on this tape first")
+        if np.shape(g) != (len(self.inputs[0]), params.arch.out_dim):
+            raise ValueError(f"backward: gradient shape {np.shape(g)} does not match the output "
+                             f"block ({len(self.inputs[0])}, {params.arch.out_dim})")
         grads = ParameterSet(params.arch, np.empty(params.arch.n_params))
         relu = params.arch.activation == "relu"
         for i in range(len(self.inputs) - 1, -1, -1):

@@ -8,33 +8,29 @@ import pytest
 
 from betree import Sample, embed_paths, greedy_path, loss_head, new_tree
 from betree.tape import DISTANCE_EPS, Tape, l2_value, neg_dist_log_softmax_value
-from betree.transform import MlpArchitecture, ParameterSet, embed, forward, init_params
+from betree.transform import MlpArchitecture, ParameterSet, affine, embed, forward, init_params
 from oracles import fd_gradient, softmax_neg
 
 
-def _chain_case(activation, k, seed):
-    """(params, raw block of k rows, upstream gradient g) for a 3-layer MLP;
-    the relu case keeps every pre-activation at least 0.05 from 0, so the
-    finite differences never cross a kink."""
+def _chain_case(activation, k, seed, sizes=(3, 5, 4, 2)):
+    """(params, raw block of k rows, upstream gradient g) for an MLP of
+    `sizes`; the relu case keeps every pre-activation at least 0.05 from 0,
+    so the finite differences never cross a kink."""
     rng = np.random.default_rng(seed)
-    params = init_params(MlpArchitecture((3, 5, 4, 2), activation), seed)
-    while True:
-        x = rng.normal(size=(k, 3))
+    params = init_params(MlpArchitecture(sizes, activation), seed)
+    for _ in range(1000):
+        x = rng.normal(size=(k, sizes[0]))
         h, far = x, True
         for w, b in zip(params.weights[:-1], params.biases[:-1]):
             pre = h @ w.T + b
             far &= bool(np.min(np.abs(pre)) > 0.05)
             h = np.maximum(pre, 0.0) if activation == "relu" else np.tanh(pre)
         if far or activation == "tanh":
-            return params, x, rng.normal(size=(k, 2))
+            return params, x, rng.normal(size=(k, sizes[-1]))
+    raise AssertionError(f"no relu case away from the kinks for {sizes} with {k} rows")
 
 
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
-@pytest.mark.parametrize("k", [1, 6])
-def test_backward_matches_fd(activation, k):
-    # the gradient of sum(g * output) in every parameter, on one row and on
-    # a row block, against central differences of the plain embedding
-    params, x, g = _chain_case(activation, k, 40 + k)
+def _check_backward_against_fd(params, x, g):
     tape = Tape()
     out = forward(tape, params, x)
     assert out.tobytes() == embed(params, x).tobytes()
@@ -45,6 +41,69 @@ def test_backward_matches_fd(activation, k):
         return float(np.sum(g * embed(ParameterSet(params.arch, flat), x)))
 
     assert np.allclose(grads.flat, fd_gradient(f, params.flat), atol=1e-7)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("k", [1, 6])
+def test_backward_matches_fd(activation, k):
+    # the gradient of sum(g * output) in every parameter, on one row and on
+    # a row block, against central differences of the plain embedding
+    _check_backward_against_fd(*_chain_case(activation, k, 40 + k))
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("k", [1, 6])
+@pytest.mark.parametrize("sizes", [(3, 4, 2), (3, 6, 5, 4, 2)])
+def test_backward_matches_fd_at_other_depths(sizes, k, activation):
+    # one hidden layer (the activation's gradient taken once) and four (it
+    # is chained through three weights)
+    _check_backward_against_fd(*_chain_case(activation, k, 80 + k + len(sizes), sizes))
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_recorded_blocks_are_the_layer_activations(activation):
+    # each recorded block above the raw one is the activation of the affine
+    # kernel over the block below, bitwise; the output layer is linear
+    params, x, _ = _chain_case(activation, 4, 45)
+    tape = Tape()
+    out = forward(tape, params, x)
+    act = (lambda z: np.maximum(z, 0.0)) if activation == "relu" else np.tanh
+    for i in range(params.arch.n_layers - 1):
+        pre = affine(params.weights[i], tape.inputs[i], params.biases[i])
+        assert tape.inputs[i + 1].tobytes() == act(pre).tobytes()
+    assert out.tobytes() == affine(params.weights[-1], tape.inputs[-1], params.biases[-1]).tobytes()
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_backward_is_linear_in_g(activation):
+    # the chain's backward is a linear map of g at fixed activations: a
+    # combination of two g's gives that combination of their gradients to
+    # rounding, and a zero g gives exact zeros
+    params, x, g1 = _chain_case(activation, 5, 47)
+    g2 = np.random.default_rng(48).normal(size=g1.shape)
+    tape = Tape()
+    forward(tape, params, x)
+    mixed = tape.backward(2.0 * g1 - 3.0 * g2).flat
+    want = 2.0 * tape.backward(g1).flat - 3.0 * tape.backward(g2).flat
+    assert np.allclose(mixed, want, rtol=1e-12, atol=1e-12)
+    assert np.any(want != 0.0)
+    assert not np.any(tape.backward(np.zeros_like(g1)).flat)
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (3, 3), (6,)])
+def test_backward_rejects_a_gradient_of_another_shape(shape):
+    # the output block is (3, 2): more rows, another width and a flat
+    # vector of its size are all refused, by name
+    params, x, _ = _chain_case("relu", 3, 49)
+    tape = Tape()
+    forward(tape, params, x)
+    with pytest.raises(ValueError, match="backward"):
+        tape.backward(np.ones(shape))
+
+
+def test_backward_before_any_forward_raises():
+    with pytest.raises(ValueError, match="backward: nothing recorded"):
+        Tape().backward(np.ones((1, 2)))
 
 
 def test_relu_pre_activation_of_zero_takes_the_zero_subgradient():
