@@ -37,12 +37,15 @@ class Sample:
 
 @dataclass
 class TreeNode:
-    """One stored sample; its embedding is row `id` of the tree's matrix."""
+    """One stored sample; its embedding is row `id` of the tree's matrix.
+    `row` is the index of the sample in the block build_tree was fed (None
+    for a node added otherwise)."""
 
     id: int
     sample: Sample
     parent: int | None
     children: list[int] = field(default_factory=list)
+    row: int | None = None
 
     @property
     def label(self) -> int:
@@ -458,10 +461,14 @@ def insert_if_wrong(tree: BoundaryTree, embed, query: Sample, y_emb=None) -> boo
 BUILD_BLOCK = 128
 
 
-def build_tree(samples, embed, max_children: int | None = None, class_count: int = 2) -> BoundaryTree:
+def build_tree(samples, embed, max_children: int | None = None, class_count: int = 2,
+               rows=None) -> BoundaryTree:
     """Feed samples through insert_if_wrong's rule in order; the first
-    becomes the root. The samples are embedded as one row block, and each
-    stored sample's row is its query embedding.
+    becomes the root. `rows` is the samples' block of embedding rows under
+    `embed` when the caller already has it, one row per sample; otherwise
+    the samples are embedded as one row block by one embed call. Each
+    stored sample's row is its query row, and each node records in `row`
+    the index of its sample in `samples`.
 
     The tree equals one built by a loop of traverse, fed the block's rows,
     plus add_child. The samples are walked BUILD_BLOCK rows at a time by
@@ -479,9 +486,15 @@ def build_tree(samples, embed, max_children: int | None = None, class_count: int
     for i, s in enumerate(samples):
         if s.features.shape != (dim,):
             raise ValueError(f"build_tree: sample {i} has feature length {s.features.shape[0]}, expected {dim}")
+    if rows is not None and (np.ndim(rows) != 2 or len(rows) != len(samples)):
+        raise ValueError(f"build_tree: rows of shape {np.shape(rows)} for {len(samples)} samples; "
+                         f"expected one row per sample")
     tree = new_tree(samples[0], max_children, class_count)
+    tree.nodes[0].row = 0
     with np.errstate(invalid="ignore", over="ignore"):
-        rows = np.asarray(embed(np.array([s.features for s in samples])), dtype=np.float64)
+        if rows is None:
+            rows = embed(np.array([s.features for s in samples]))
+        rows = np.asarray(rows, dtype=np.float64)
         tree.reset_embeddings(embed.cache_key)
         _store_rows(tree, [0], rows[:1])
         for lo in range(1, len(samples), BUILD_BLOCK):
@@ -492,6 +505,7 @@ def build_tree(samples, embed, max_children: int | None = None, class_count: int
             for i, s in enumerate(samples[lo:lo + len(q)]):
                 node_id = _insert(tree, s, q[i], None if stale[i] else finals[i])
                 if node_id is not None:
+                    tree.nodes[node_id].row = lo + i
                     _mark_stale(tree, node_id, visits, q, i, stale)
     return tree
 

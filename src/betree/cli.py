@@ -9,6 +9,7 @@ a comment line holding the fully resolved run configuration.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -50,15 +51,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _runspec(args: argparse.Namespace) -> str:
-    """The resolved run configuration as one line of printable ASCII, for
-    the comment line of a CSV output: any other character of an argument
-    (non-ASCII, newline, other control characters) becomes a backslash
-    escape."""
+# Environment variables that set the BLAS thread count. A GEMM's summation
+# order can follow that count, so a train log records them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _runspec(args: argparse.Namespace, *extra: str) -> str:
+    """The resolved run configuration, then the `extra` fields, as one line
+    of printable ASCII, for the comment line of a CSV output: any other
+    character (non-ASCII, newline, other control characters) becomes a
+    backslash escape."""
     pairs = sorted(
         (k, v) for k, v in vars(args).items() if k not in ("func", "command") and v is not None
     )
-    text = f"betree {args.command} " + " ".join(f"{k.replace('_', '-')}={v}" for k, v in pairs)
+    text = " ".join([f"betree {args.command}",
+                     *(f"{k.replace('_', '-')}={v}" for k, v in pairs), *extra])
     return "".join(ch if " " <= ch <= "~" else ch.encode("unicode_escape").decode("ascii")
                    for ch in text)
 
@@ -170,7 +177,7 @@ def cmd_train(args, parser: _Parser) -> int:
         seed=args.seed + 2,
         max_children=_max_children(args),
     )
-    comment = _runspec(args)
+    comment = _runspec(args, *(f"{v}={os.environ.get(v, 'unset')}" for v in BLAS_THREAD_VARS))
 
     def write_outputs(params, log):
         save_checkpoint(params, args.checkpoint_out)

@@ -8,11 +8,12 @@ head then turns the rows the walks compared (the queries' rows and the
 tree's rows of their last decisions' candidates) into the batch's summed
 cross-entropy with a closed-form gradient with respect to those rows,
 computed once per group of queries with the same candidate count and
-bitwise equal to a per-query loop (see loss_head). One recorded forward of
-the same queries and candidates as one row block (transform.forward) and
-its written-out backward (tape.Tape.backward) carry that gradient to the
-transform parameters, through the queries and through the stored samples
-they aggregate.
+bitwise equal to a per-query loop (see loss_head). Each of those rows is a
+row of the step's one recorded forward (transform.forward): the query rows
+themselves, and the tree's rows as the copies the build stored. So the
+written-out backward (tape.Tape.backward) over exactly the recorded rows
+the head read carries that gradient to the transform parameters, through
+the queries and through the stored samples they aggregate.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .boundary_tree import (
     Sample,
     TraceStep,
     _check_queries,
+    _store_rows,
     node_embedding,
     traverse,
 )
@@ -48,7 +50,6 @@ class PathTrace:
 
     tree: BoundaryTree
     params: transform.ParameterSet | None
-    query: np.ndarray
     embedded: np.ndarray
     decisions: list[TraceStep]
     final: int
@@ -70,30 +71,26 @@ class LossHead:
 
 def greedy_path(tree: BoundaryTree, params, y, y_emb=None) -> PathTrace:
     """Soft traversal: boundary_tree.traverse under the plain embedder of
-    `params` (identity when params is None). `y_emb` is the query's plain
-    embedding when the caller already has it; the walk compares it, or
-    the query's one-row embedding, and the trace keeps it."""
+    `params` (identity when params is None). `y_emb` is the query's row
+    when the caller already has it (loss_and_grad passes its recorded
+    row); the walk compares it, or the query's one-row embedding, and the
+    trace keeps it."""
     embedder = transform.identity_embedder() if params is None else transform.make_embedder(params)
     if y_emb is None:
         y_emb = embedder(_check_queries(tree, y, (1,), "greedy_path"))
     trace = traverse(tree, embedder, y, y_emb)
-    return PathTrace(tree, params, np.asarray(y, dtype=np.float64), np.asarray(y_emb),
-                     trace.steps, trace.final, trace.stop_mode)
+    return PathTrace(tree, params, np.asarray(y_emb), trace.steps, trace.final, trace.stop_mode)
 
 
-def embed_paths(traces: list[PathTrace]) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
-    """The batch's row block: its raw features, the walked block and, per
-    trace, the block rows of its last decision's candidates in candidate
-    order (empty without a decision).
+def embed_paths(traces: list[PathTrace]) -> tuple[list[int], np.ndarray, list[list[int]]]:
+    """The batch's row block: the node ids of its rows after the queries,
+    the walked block and, per trace, the block rows of its last decision's
+    candidates in candidate order (empty without a decision).
 
     The block holds the k queries, then the union of their last decisions'
     candidates in first-seen order, each node once. The walked block holds
     the rows the walks compared: each trace's `embedded` row, then the
-    tree's rows of the union. The raw features of the same queries and
-    nodes are what loss_and_grad's single transform.forward embeds, so one
-    backward reaches the parameters with one weight-gradient product per
-    layer; its rows agree with the walked ones to rounding (see
-    transform.affine).
+    tree's rows of the union.
     """
     if not traces:
         raise ValueError("embed_paths: no traces")
@@ -111,9 +108,8 @@ def embed_paths(traces: list[PathTrace]) -> tuple[np.ndarray, np.ndarray, list[l
     walked = np.array([t.embedded for t in traces])
     if union:
         walked = np.concatenate([walked, node_embedding(tree, union, embedder)])
-    raw = np.array([*(t.query for t in traces), *(tree.nodes[c].sample.features for c in union)])
-    return raw, walked, [[row_of[c] for c in t.decisions[-1].candidates] if t.decisions else []
-                         for t in traces]
+    return union, walked, [[row_of[c] for c in t.decisions[-1].candidates] if t.decisions else []
+                           for t in traces]
 
 
 def path_log_prob(trace: PathTrace) -> float:
@@ -244,31 +240,38 @@ def loss_head(block: np.ndarray, rows: list[list[int]], traces: list[PathTrace],
     return LossHead(np.add.accumulate(terms)[-1], grad, distances, misses)
 
 
-def batch_loss(traces: list[PathTrace], labels) -> tuple[np.ndarray, LossHead]:
+def batch_loss(traces: list[PathTrace], labels) -> tuple[list[int], LossHead]:
     """The traces' loss head over embed_paths' walked block; returns the
-    block's raw features and the LossHead.
-
-    The head reads the walked block, so its value and gradient are those
-    of the rows the walks compared; a forward of the raw block supplies
-    the activations through which the backward carries that gradient to
-    the parameters.
-    """
+    node ids of the block's rows after the queries (embed_paths' union)
+    and the LossHead, whose value and gradient are those of the rows the
+    walks compared."""
     if not traces:
         raise ValueError("batch_loss: no traces")
     class_count = traces[0].tree.class_count
     for y in labels:
         if not 0 <= y < class_count:
             raise ValueError(f"true label {y} outside [0, {class_count})")
-    raw, walked, rows = embed_paths(traces)
-    return raw, loss_head(walked, rows, traces, labels)
+    union, walked, rows = embed_paths(traces)
+    return union, loss_head(walked, rows, traces, labels)
 
 
-def loss_and_grad(tree: BoundaryTree, params: transform.ParameterSet, samples):
-    """One gradient step's loss over one Sample or a batch of them: the
-    queries are embedded plain as one block for their greedy_path walks,
-    batch_loss computes the head from those rows and the tree's, one
-    transform.forward records the raw block's chain on a fresh Tape, and
-    its backward from the head's gradient gives the parameter gradient.
+def loss_and_grad(tree: BoundaryTree, params: transform.ParameterSet, samples,
+                  tape: Tape | None = None):
+    """One gradient step's loss over one Sample or a batch of k of them,
+    with every row it reads taken from one recorded forward.
+
+    `tape` is that record when the caller has it: one transform.forward of
+    `params` over [the samples `tree` was built from; the k queries], whose
+    first rows the build took as its rows (build_tree's `rows`), so node
+    n's row is tree.nodes[n].row. Without it, loss_and_grad records its own
+    forward over [every node's sample, in id order; the queries] and
+    re-stores the tree's rows from it, so each node's row is then its id.
+
+    The queries walk (greedy_path) from their rows, the record's last k;
+    batch_loss computes the head from those rows and the tree's; and the
+    backward runs over the record's rows the head read, the query rows and
+    then the union's. The head's gradient is divided by k first, so the
+    result is the gradient of the mean loss at exactly the rows it read.
 
     Returns (mean loss value, mean gradient ParameterSet, structural-miss
     count over the batch). Parameters are not mutated.
@@ -276,18 +279,20 @@ def loss_and_grad(tree: BoundaryTree, params: transform.ParameterSet, samples):
     samples = [samples] if isinstance(samples, Sample) else list(samples)
     if not samples:
         raise ValueError("loss_and_grad: no samples")
-    queries = np.array([s.features for s in samples])
-    traces = [greedy_path(tree, params, s.features, row)
-              for s, row in zip(samples, transform.make_embedder(params)(queries))]
-    raw, head = batch_loss(traces, [s.label for s in samples])
-    tape = Tape()
-    transform.forward(tape, params, raw)
-    grads = tape.backward(head.grad)
-    value = float(head.value)
-    if len(samples) > 1:
-        value /= len(samples)
-        grads.flat /= len(samples)
-    return value, grads, head.misses
+    if tape is None:
+        tape = Tape()
+        transform.forward(tape, params, np.array([*(node.sample.features for node in tree.nodes),
+                                                  *(s.features for s in samples)]))
+        tree.reset_embeddings(transform.make_embedder(params).cache_key)
+        _store_rows(tree, np.arange(len(tree)), tape.output[:len(tree)])
+        for node in tree.nodes:
+            node.row = node.id
+    k = len(samples)
+    queries = range(len(tape.output) - k, len(tape.output))
+    traces = [greedy_path(tree, params, s.features, tape.output[r]) for s, r in zip(samples, queries)]
+    union, head = batch_loss(traces, [s.label for s in samples])
+    grads = tape.backward(head.grad / k, [*queries, *(tree.nodes[c].row for c in union)])
+    return float(head.value) / k, grads, head.misses
 
 
 def predict_soft(tree: BoundaryTree, params, y) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Training loop: alternate between rebuilding the boundary tree under the
 current transform and one batched gradient step with the structure frozen,
-until the mean loss stops moving. Also full-tree evaluation.
+until the mean loss stops moving. Both read one recorded forward per
+iteration. Also full-tree evaluation.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ import numpy as np
 
 from .boundary_tree import BoundaryTree, build_tree, predict_hard
 from .soft_path import loss_and_grad
+from .tape import Tape
 from .transform import (
     AdamState,
     MlpArchitecture,
     NonFiniteGradientError,
     ParameterSet,
     adam_step,
+    forward,
     identity_embedder,
     init_params,
     make_embedder,
@@ -161,11 +164,14 @@ def train(train_set, test_set, config: TrainConfig, *,
           full_tree_eval: bool = False) -> tuple[ParameterSet, TrainLog]:
     """Run the outer loop and return the final parameters plus the log.
 
-    Per outer iteration: discard the tree, rebuild it from the next
-    tree_build_samples stream samples under the current parameters, then
-    take one Adam step on the mean loss of the next grad_steps_per_iter
-    samples walked through that tree (one loss_and_grad over the batch,
-    reading the node rows the build just embedded), and record the
+    Per outer iteration: take the next tree_build_samples stream samples
+    and the next grad_steps_per_iter (the query batch), and embed both
+    blocks, stacked, by one recorded forward (transform.forward) under the
+    current parameters. Discard the tree and rebuild it from the build
+    samples' rows of that record, then take one Adam step on the mean loss
+    of the batch walked through that tree (one loss_and_grad over the
+    batch, reading the queries' rows and the node rows of the same record,
+    and taking the backward over the ones its head read), and record the
     iteration with that mean loss. Stops on convergence or at
     max_outer_iters.
 
@@ -196,13 +202,15 @@ def train(train_set, test_set, config: TrainConfig, *,
 
     for iteration in range(config.max_outer_iters):
         stream.ensure(need)
-        tree = build_tree(stream.take(config.tree_build_samples), make_embedder(params),
-                          config.max_children, class_count)
-
+        build = stream.take(config.tree_build_samples)
         batch = stream.take(config.grad_steps_per_iter)
+        tape = Tape()
+        rows = forward(tape, params, np.array([s.features for s in build + batch]))
+        tree = build_tree(build, make_embedder(params), config.max_children, class_count,
+                          rows=rows[:len(build)])
         mean_loss, clamps = 0.0, 0
         if batch:
-            mean_loss, grads, clamps = loss_and_grad(tree, params, batch)
+            mean_loss, grads, clamps = loss_and_grad(tree, params, batch, tape)
             if not math.isfinite(mean_loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at iteration {iteration}", params, log)
@@ -211,6 +219,9 @@ def train(train_set, test_set, config: TrainConfig, *,
             except NonFiniteGradientError as e:
                 raise TrainingDivergedError(
                     f"{e} (iteration {iteration})", params, log) from e
+        # Free the record before the evaluation and the next iteration's
+        # forward; the tree keeps copies of its rows.
+        del tape, rows
 
         test_error = None
         full_test_error = None

@@ -138,14 +138,16 @@ def _layers(params: ParameterSet, h: np.ndarray, inputs: list | None = None) -> 
 
 def forward(tape: Tape, params: ParameterSet, x) -> np.ndarray:
     """Embed a row block of raw features for one gradient step; returns the
-    output block and records the parameters and each layer's input rows on
-    `tape`, for its backward. Bitwise embed's result for the same block."""
+    output block and records the parameters, each layer's input rows and
+    the output block on `tape`, for its backward. Bitwise embed's result
+    for the same block."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.arch.in_dim:
         raise ValueError(f"forward: input shape {x.shape} does not match architecture input "
                          f"(k, {params.arch.in_dim})")
     tape.params, tape.inputs = params, []
-    return _layers(params, x, tape.inputs)
+    tape.output = _layers(params, x, tape.inputs)
+    return tape.output
 
 
 def embed(params: ParameterSet, x) -> np.ndarray:

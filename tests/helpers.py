@@ -23,18 +23,25 @@ def random_samples(rng, n, dim, class_count):
     return [Sample(rng.normal(size=dim), int(rng.integers(class_count))) for _ in range(n)]
 
 
+# The most draws random_tree and general_position_case take before they
+# fail. Across the suite they need at most 36 and 49; the cap turns a defect
+# that rejects every draw into a failure instead of an endless loop.
+MAX_DRAWS = 500
+
+
 def random_tree(rng, n_range=(3, 10), dim=3, class_count=3, embedder=None,
                 max_children=None):
     """Boundary tree from a random sample stream, retried until the node
-    count lands in n_range."""
+    count lands in n_range (at most MAX_DRAWS draws)."""
     emb = embedder if embedder is not None else identity_embedder()
     lo, hi = n_range
-    while True:
+    for _ in range(MAX_DRAWS):
         n_feed = int(rng.integers(hi, 3 * hi + 1))
         tree = build_tree(random_samples(rng, n_feed, dim, class_count), emb,
                           max_children, class_count)
         if lo <= len(tree) <= hi:
             return tree
+    raise AssertionError(f"no tree of {lo}-{hi} nodes in {MAX_DRAWS} draws")
 
 
 def in_general_position(tree, params, query, relu_margin=1e-3, dist_margin=1e-3,
@@ -101,8 +108,9 @@ def in_general_position(tree, params, query, relu_margin=1e-3, dist_margin=1e-3,
 
 def general_position_case(rng, n_range=(3, 10), out_dims=(2, 8)):
     """(tree, params, query) with a small relu MLP transform, rejection
-    sampled until the loss is differentiable at the configuration."""
-    while True:
+    sampled until the loss is differentiable at the configuration (at most
+    MAX_DRAWS draws)."""
+    for _ in range(MAX_DRAWS):
         d_in = int(rng.integers(2, 6))
         d_out = int(rng.integers(out_dims[0], out_dims[1] + 1))
         hidden = int(rng.integers(3, 9))
@@ -117,6 +125,7 @@ def general_position_case(rng, n_range=(3, 10), out_dims=(2, 8)):
         query = Sample(rng.normal(size=d_in), int(rng.integers(class_count)))
         if in_general_position(tree, params, query):
             return tree, params, query
+    raise AssertionError(f"no case in general position in {MAX_DRAWS} draws")
 
 
 def fd_max_rel_error(tree, params, samples, step=1e-5):

@@ -212,6 +212,58 @@ def test_build_tree_validation():
         build_tree(ragged, IDENT)
 
 
+def test_build_tree_rejects_rows_that_do_not_match_the_samples():
+    samples = random_samples(np.random.default_rng(130), 5, 2, 2)
+    for rows in (np.zeros((4, 2)), np.zeros((6, 2)), np.zeros(5)):
+        with pytest.raises(ValueError, match="build_tree: rows"):
+            build_tree(samples, IDENT, rows=rows)
+
+
+@pytest.mark.parametrize("max_children", [None, 2])
+def test_build_tree_given_rows_equals_build_tree_embedding_the_block(max_children):
+    # the rows a caller passes are the rows the build would embed, so the
+    # two trees are equal: structure, stored rows, squared norms and the
+    # node -> row map
+    rng = np.random.default_rng(131)
+    params = init_params(MlpArchitecture((3, 8, 4)), 132)
+    samples = random_samples(rng, 300, 3, 3)
+    embedder = make_embedder(params)
+    a = build_tree(samples, embedder, max_children, 3)
+    b = build_tree(samples, embedder, max_children, 3,
+                   rows=embed(params, np.array([s.features for s in samples])))
+    assert len(a) > 10
+    assert [(n.parent, n.children, n.row) for n in a.nodes] == [
+        (n.parent, n.children, n.row) for n in b.nodes]
+    assert a.emb[:len(a)].tobytes() == b.emb[:len(b)].tobytes()
+    assert a.sq[:len(a)].tobytes() == b.sq[:len(b)].tobytes()
+    assert a.emb_key == b.emb_key == embedder.cache_key
+
+
+@pytest.mark.parametrize("max_children", [None, 2, 3])
+def test_build_tree_records_each_nodes_row(max_children):
+    # each node's row is the index of its own sample in the build block,
+    # ascending with the node ids, and its stored embedding is bitwise that
+    # row of the block, also where most samples are never inserted and
+    # under the max_children bound (which pushes inserts further down)
+    rng = np.random.default_rng(133 + (max_children or 0))
+    samples = random_samples(rng, 400, 2, 3)
+    # rows around one centre per class, so most samples are classified
+    # right and never inserted
+    centres = 1.5 * rng.normal(size=(3, 5))
+    rows = centres[[s.label for s in samples]] + rng.normal(size=(400, 5))
+    tree = build_tree(samples, IDENT, max_children, 3, rows=rows)
+    got = [n.row for n in tree.nodes]
+    assert got[0] == 0 and got == sorted(set(got)) and len(got) < len(samples) // 2
+    for node in tree.nodes:
+        assert node.sample is samples[node.row]
+        assert tree.emb[node.id].tobytes() == rows[node.row].tobytes()
+    if max_children is not None:
+        assert max(len(n.children) for n in tree.nodes) == max_children
+    # a node added by another path has no row
+    tree.add_child(0, next(s for s in samples if s.label != samples[0].label))
+    assert tree.nodes[-1].row is None
+
+
 def test_build_tree_deterministic_and_monotone():
     data = gen_half_moons(120, 0.15, seed=8)
     a = build_tree(data.samples, IDENT)

@@ -321,6 +321,30 @@ def test_comment_line_escapes_non_ascii_and_control_characters(tmp_path):
                    for a, b in zip(loaded.samples, direct.samples))
 
 
+def test_train_log_comment_records_the_blas_thread_variables(tmp_path, monkeypatch):
+    # the thread count can change a GEMM's last bits, so the log says what
+    # it ran under: each variable's value, or unset; only the comment line
+    # carries them
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2\n")
+    log = tmp_path / "l.csv"
+    code = run(FAST_TRAIN + ["--checkpoint-out", str(tmp_path / "m.ckpt"), "--log", str(log),
+                             "--no-final-eval", "--no-timing"])
+    assert code == 2
+    lines = log.read_text(encoding="ascii").split("\n")
+    assert lines[0].startswith("# betree train ")
+    assert lines[0].endswith(" tree-samples=8 OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset "
+                             "MKL_NUM_THREADS=2\\n")
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    other = tmp_path / "o.csv"
+    assert run(FAST_TRAIN + ["--checkpoint-out", str(tmp_path / "m.ckpt"), "--log", str(other),
+                             "--no-final-eval", "--no-timing"]) == 2
+    first, rest = other.read_text(encoding="ascii").split("\n", 1)
+    assert "OMP_NUM_THREADS=4" in first
+    assert rest == "\n".join(lines[1:])
+
+
 def test_comment_line_keeps_printable_ascii_arguments_verbatim(tmp_path):
     out = tmp_path / "plain.csv"
     assert run(["gen-moons", "--n", "5", "--noise", "0.2", "--seed", "4", "--out", str(out)]) == 0

@@ -35,6 +35,7 @@ from betree import (
     traverse,
 )
 from betree import transform
+from betree.boundary_tree import _store_rows
 from helpers import (
     fd_max_rel_error,
     general_position_case,
@@ -299,6 +300,10 @@ def test_uniform_zero_net_loss():
 
 
 def test_loss_and_grad_matches_manual_pipeline():
+    # the standalone step records one forward over [the tree's samples in
+    # id order; the query], re-stores every node's row from it, walks from
+    # the query's recorded row and takes the backward over the recorded
+    # rows its head read
     rng = np.random.default_rng(204)
     params = init_params(MlpArchitecture((2, 5, 3)), 205)
     tree = random_tree(rng, n_range=(4, 12), dim=2, class_count=2,
@@ -306,11 +311,14 @@ def test_loss_and_grad_matches_manual_pipeline():
     sample = Sample(rng.normal(size=2), 1)
     value, grads, clamps = loss_and_grad(tree, params, sample)
 
-    pt = greedy_path(tree, params, sample.features)
-    raw, head = batch_loss([pt], [sample.label])
     tape = Tape()
-    transform.forward(tape, params, raw)
-    manual = tape.backward(head.grad)
+    out = transform.forward(tape, params, np.array([*(n.sample.features for n in tree.nodes),
+                                                    sample.features]))
+    assert tree.emb[:len(tree)].tobytes() == out[:-1].tobytes()
+    assert [n.row for n in tree.nodes] == list(range(len(tree)))
+    pt = greedy_path(tree, params, sample.features, out[-1])
+    union, head = batch_loss([pt], [sample.label])
+    manual = tape.backward(head.grad, [len(tree), *union])
     assert value == float(head.value)
     assert clamps == head.misses
     for a, b in zip(grads.weights + grads.biases, manual.weights + manual.biases):
@@ -343,12 +351,13 @@ def test_batch_step_is_the_mean_of_per_query_steps():
             value, grads, clamps = loss_and_grad(tree, params, batch)
             # every per-query loss is bitwise its single-query head at the
             # query row the batch walked, summed in batch order
-            rows = make_embedder(params)(np.array([s.features for s in batch]))
+            tape, _ = _manual_step(tree, params, batch)
             heads = [batch_loss([greedy_path(tree, params, s.features, r)], [s.label])[1]
-                     for s, r in zip(batch, rows)]
+                     for s, r in zip(batch, tape.output[-k:])]
             assert value == sum(float(h.value) for h in heads) / k
-            # a single step embeds its query alone, which moves its row, and
-            # so its loss and gradient, by rounding only
+            # a single step records its query in a block of another shape,
+            # which moves its row, and so its loss and gradient, by
+            # rounding only
             singles = [loss_and_grad(tree, params, s) for s in batch]
             assert abs(value - sum(v for v, _, _ in singles) / k) <= 1e-12 * max(1.0, value)
             assert clamps == sum(c for _, _, c in singles) == sum(h.misses for h in heads)
@@ -357,27 +366,91 @@ def test_batch_step_is_the_mean_of_per_query_steps():
 
 
 def _manual_step(tree, params, batch):
-    """loss_and_grad's step, built here: the batch's traces at its block
-    rows, the head, one forward and the backward from the head's gradient.
-    Returns the tape and the (summed) gradient."""
-    rows = make_embedder(params)(np.array([s.features for s in batch]))
-    traces = [greedy_path(tree, params, s.features, r) for s, r in zip(batch, rows)]
-    raw, head = batch_loss(traces, [s.label for s in batch])
+    """loss_and_grad's standalone step, built here: one recorded forward
+    over [the tree's samples; the batch], the tree's rows re-stored from
+    it, the batch's traces at its recorded rows, the head, and the
+    backward of the head's gradient, divided by k, over the recorded rows
+    the head read. Returns the tape and the (mean) gradient."""
+    k = len(batch)
     tape = Tape()
-    transform.forward(tape, params, raw)
-    return tape, tape.backward(head.grad)
+    out = transform.forward(tape, params, np.array([*(n.sample.features for n in tree.nodes),
+                                                    *(s.features for s in batch)]))
+    tree.reset_embeddings(make_embedder(params).cache_key)
+    _store_rows(tree, np.arange(len(tree)), out[:len(tree)])
+    traces = [greedy_path(tree, params, s.features, r) for s, r in zip(batch, out[len(tree):])]
+    union, head = batch_loss(traces, [s.label for s in batch])
+    return tape, tape.backward(head.grad / k, [*range(len(tree), len(out)), *union])
+
+
+def _gathered_backward(tape, g, rows):
+    """The written-out backward of a record holding only `rows` of `tape`'s
+    record: a fresh Tape whose blocks are those rows, gathered here."""
+    gathered = Tape()
+    gathered.params, gathered.inputs = tape.params, [x[rows] for x in tape.inputs]
+    return gathered.backward(g)
+
+
+def _step_spy(monkeypatch):
+    """Spy on Tape.backward: each call's tape, gradient and rows, then the
+    real backward."""
+    calls = []
+    real = Tape.backward
+
+    def spy(tape, g, rows=None):
+        calls.append((tape, g.copy(), rows))
+        return real(tape, g, rows)
+
+    monkeypatch.setattr(Tape, "backward", spy)
+    return calls
+
+
+@pytest.mark.parametrize("recorded_by", ["loss_and_grad", "caller"])
+def test_step_gradient_is_the_backward_of_the_rows_the_head_read(recorded_by, monkeypatch):
+    # on the standalone path and on train's (a caller's record over [build
+    # samples; queries], whose first rows the build took), the backward
+    # runs over the record's query rows and its rows of the head's union,
+    # which are bitwise the rows the head read; the gradient is bitwise
+    # the written-out backward of a record holding only those rows
+    rng = np.random.default_rng(222)
+    calls = _step_spy(monkeypatch)
+    for k in (1, 4, 9):
+        for case in range(4):
+            params = init_params(MlpArchitecture((3, 7, 5, 4)), int(rng.integers(1 << 31)))
+            build = random_samples(rng, int(rng.integers(2, 40)), 3, 3)
+            batch = random_samples(rng, k, 3, 3)
+            embedder, max_children = make_embedder(params), (None, 2)[case % 2]
+            tape = None
+            if recorded_by == "caller":
+                tape = Tape()
+                out = transform.forward(tape, params, np.array([s.features for s in build + batch]))
+                tree = build_tree(build, embedder, max_children, 3, rows=out[:len(build)])
+            else:
+                tree = build_tree(build, embedder, max_children, 3)
+            calls.clear()
+            value, grads, _ = loss_and_grad(tree, params, batch, tape)
+            [(record, g, rows)] = calls
+            assert tape is None or record is tape
+            n = len(record.output)
+            traces = [greedy_path(tree, params, s.features, r)
+                      for s, r in zip(batch, record.output[n - k:])]
+            union, head = batch_loss(traces, [s.label for s in batch])
+            assert value == float(head.value) / k
+            assert g.tobytes() == (head.grad / k).tobytes()
+            assert list(rows) == [*range(n - k, n), *(tree.nodes[c].row for c in union)]
+            for c in union:
+                assert tree.emb[c].tobytes() == record.output[tree.nodes[c].row].tobytes()
+            assert grads.flat.tobytes() == _gathered_backward(record, g, rows).flat.tobytes()
 
 
 def test_step_gradient_is_the_backward_and_never_aliased():
     # loss_and_grad's gradient is bitwise the written-out backward of the
-    # same step, divided by the batch size, and a later step leaves it alone
+    # same step, its head's gradient divided by the batch size, and a
+    # later step leaves it alone
     rng = np.random.default_rng(213)
     for k in (1, 5):
         tree, params, batch = _batch_case(rng, k)
         _, grads, _ = loss_and_grad(tree, params, batch)
         _, want = _manual_step(tree, params, batch)
-        if k > 1:
-            want.flat /= k
         assert grads.flat.tobytes() == want.flat.tobytes()
 
         kept = grads.flat.copy()
@@ -440,13 +513,12 @@ def test_embed_paths_block_is_queries_then_candidate_union():
         for _ in range(4):
             tree, params, batch = _batch_case(rng, k)
             traces = [greedy_path(tree, params, s.features) for s in batch]
-            raw, walked, cand_rows = embed_paths(traces)
+            got_union, walked, cand_rows = embed_paths(traces)
             union = []
             for t in traces:
                 if t.decisions:
                     union += [c for c in t.decisions[-1].candidates if c not in union]
-            rows = [s.features for s in batch] + [tree.nodes[c].sample.features for c in union]
-            assert raw.tobytes() == np.array(rows).tobytes()
+            assert got_union == union
             assert walked.shape == (k + len(union), params.arch.out_dim)
             # the walked block holds the rows the walks compared
             want = np.concatenate([[t.embedded for t in traces], tree.emb[union]])
@@ -495,21 +567,35 @@ def test_embed_paths_rejects_traces_of_different_trees():
         embed_paths(traces)
 
 
-def test_batch_step_embeds_no_tree_row(monkeypatch):
-    # the tree was built under these parameters, so every walk reads the
-    # rows the build stored: the only plain embed call is the query block
+def test_batch_step_embeds_by_one_forward_only(monkeypatch):
+    # the standalone step embeds by one recorded forward over [the tree's
+    # samples; the queries] and by no plain embed call; given a caller's
+    # record, it embeds nothing at all, so every walk reads recorded rows
     rng = np.random.default_rng(215)
     tree, params, batch = _batch_case(rng, 6)
-    calls = []
-    real = transform.embed
+    embeds, forwards = [], []
+    real_embed, real_forward = transform.embed, transform.forward
 
-    def counting(p, x):
-        calls.append(np.shape(x))
-        return real(p, x)
+    def counting_embed(p, x):
+        embeds.append(np.shape(x))
+        return real_embed(p, x)
 
-    monkeypatch.setattr(transform, "embed", counting)
+    def counting_forward(tape, p, x):
+        forwards.append(np.shape(x))
+        return real_forward(tape, p, x)
+
+    monkeypatch.setattr(transform, "embed", counting_embed)
+    monkeypatch.setattr(transform, "forward", counting_forward)
     loss_and_grad(tree, params, batch)
-    assert calls == [(6, 3)]
+    assert embeds == [] and forwards == [(len(tree) + 6, 3)]
+
+    build = random_samples(rng, 15, 3, tree.class_count)
+    tape = Tape()
+    out = real_forward(tape, params, np.array([s.features for s in build + batch]))
+    tree = build_tree(build, make_embedder(params), None, tree.class_count, rows=out[:15])
+    forwards.clear()
+    loss_and_grad(tree, params, batch, tape)
+    assert embeds == [] and forwards == []
 
 
 def test_batch_step_tape_records_one_block_per_layer():
@@ -521,17 +607,19 @@ def test_batch_step_tape_records_one_block_per_layer():
     sizes = []
     real = Tape.backward
 
-    def counting(tape, g):
-        sizes.append((len(tape), len(g)))
-        return real(tape, g)
+    def counting(tape, g, rows=None):
+        sizes.append((len(tape), len(tape.inputs[0]), len(g), len(rows)))
+        return real(tape, g, rows)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(Tape, "backward", counting)
         for k in (1, 10, 200):
             loss_and_grad(tree, params, random_samples(rng, k, 3, 3))
-    assert [n for n, _ in sizes] == [params.arch.n_layers] * 3
-    # the backward's block is the queries and their candidates' union
-    assert all(rows > k for (_, rows), k in zip(sizes, (1, 10, 200)))
+    assert [n for n, _, _, _ in sizes] == [params.arch.n_layers] * 3
+    # the record is the tree's samples and the queries; the backward's rows
+    # are the queries and their candidates' union, one gradient row each
+    assert [recorded for _, recorded, _, _ in sizes] == [len(tree) + k for k in (1, 10, 200)]
+    assert all(rows == g > k for (_, _, g, rows), k in zip(sizes, (1, 10, 200)))
 
 
 # ---- structural misses -----------------------------------------------------------

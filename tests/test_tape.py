@@ -171,13 +171,36 @@ def test_gradient_lands_in_the_returned_vectors_views_and_is_never_aliased():
 
 
 def test_forward_records_one_block_per_layer_afresh():
-    # a second forward on the same tape replaces the record
+    # a second forward on the same tape replaces the record, output too
     params, x, _ = _chain_case("relu", 3, 70)
     tape = Tape()
     forward(tape, params, x)
-    forward(tape, params, x[:1])
+    out = forward(tape, params, x[:1])
     assert len(tape) == params.arch.n_layers
     assert [len(h) for h in tape.inputs] == [1] * params.arch.n_layers
+    assert tape.output is out and len(out) == 1
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_backward_over_rows_is_the_backward_of_a_record_of_those_rows(activation):
+    # the backward over some rows of the record (in any order, repeats
+    # included) gathers each layer's rows once: bitwise the backward of a
+    # record holding only those rows, and zero-padding g to every row
+    # gives the same gradient to rounding
+    params, x, _ = _chain_case(activation, 9, 75, (3, 6, 5, 2))
+    tape = Tape()
+    forward(tape, params, x)
+    g = np.random.default_rng(76).normal(size=(5, 2))
+    for rows in ([8, 0, 3, 4, 1], [2, 2, 7, 0, 2]):
+        grads = tape.backward(g, rows)
+        gathered = Tape()
+        gathered.params, gathered.inputs = params, [h[rows] for h in tape.inputs]
+        assert grads.flat.tobytes() == gathered.backward(g).flat.tobytes()
+        padded = np.zeros((9, 2))
+        np.add.at(padded, rows, g)
+        assert np.allclose(grads.flat, tape.backward(padded).flat, rtol=1e-12, atol=1e-14)
+    with pytest.raises(ValueError, match="backward: gradient shape"):
+        tape.backward(g, [0, 1, 2])
 
 
 # The tape has no distance op: the soft path's loss head computes its

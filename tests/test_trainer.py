@@ -26,7 +26,7 @@ from betree import (
     train,
     write_train_log,
 )
-from betree import soft_path, trainer
+from betree import soft_path, trainer, transform
 from betree.trainer import _SampleStream, hard_error
 from oracles import ref_loss_head
 
@@ -109,9 +109,9 @@ def test_one_batched_step_per_iteration(monkeypatch):
     batches, steps = [], []
     real_loss, real_adam = trainer.loss_and_grad, trainer.adam_step
 
-    def loss_spy(tree, params, samples):
+    def loss_spy(tree, params, samples, tape):
         batches.append(len(samples))
-        return real_loss(tree, params, samples)
+        return real_loss(tree, params, samples, tape)
 
     def adam_spy(*args):
         steps.append(args)
@@ -126,6 +126,40 @@ def test_one_batched_step_per_iteration(monkeypatch):
     steps.clear()
     train(data, None, tiny_config(grad_steps_per_iter=0, max_outer_iters=3))
     assert batches == [] and steps == []
+
+
+def test_each_iteration_embeds_by_one_forward(monkeypatch):
+    # one recorded forward per iteration over [build samples; query batch]
+    # feeds the build, the walks and the backward: no plain embed call, and
+    # the build stores the record's rows
+    data = gen_half_moons(80, 0.1, seed=15)
+    forwards, embeds, builds = [], [], []
+    real_forward, real_embed, real_build = trainer.forward, transform.embed, trainer.build_tree
+
+    def forward_spy(tape, params, x):
+        forwards.append(len(x))
+        return real_forward(tape, params, x)
+
+    def embed_spy(params, x):
+        embeds.append(np.shape(x))
+        return real_embed(params, x)
+
+    def build_spy(samples, embed, max_children, class_count, rows):
+        tree = real_build(samples, embed, max_children, class_count, rows=rows)
+        builds.append((len(samples), len(rows)))
+        assert all(tree.emb[n.id].tobytes() == rows[n.row].tobytes() for n in tree.nodes)
+        return tree
+
+    monkeypatch.setattr(trainer, "forward", forward_spy)
+    monkeypatch.setattr(transform, "embed", embed_spy)
+    monkeypatch.setattr(trainer, "build_tree", build_spy)
+    _, log = train(data, None, tiny_config(max_outer_iters=3, convergence_rel_threshold=1e-15))
+    assert len(log.records) == 3
+    assert forwards == [8 + 4] * 3 and embeds == [] and builds == [(8, 8)] * 3
+    forwards.clear()
+    builds.clear()
+    train(data, None, tiny_config(grad_steps_per_iter=0, max_outer_iters=3))
+    assert forwards == [8] * 2 and embeds == [] and builds == [(8, 8)] * 2
 
 
 def test_single_class_dataset_converges_immediately():
