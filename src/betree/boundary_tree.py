@@ -82,6 +82,14 @@ class Trace:
         return seq
 
 
+def check_max_children(max_children) -> None:
+    """ValueError unless `max_children` is None or an integer >= 1 (numpy
+    integers included; bools and floats are not integers here)."""
+    integer = isinstance(max_children, (int, np.integer)) and not isinstance(max_children, bool)
+    if max_children is not None and not (integer and max_children >= 1):
+        raise ValueError(f"max_children must be None or an integer >= 1, got {max_children!r}")
+
+
 class BoundaryTree:
     """Arena-backed tree; node 0 is always the root.
 
@@ -98,8 +106,7 @@ class BoundaryTree:
     """
 
     def __init__(self, first: Sample, max_children: int | None = None, class_count: int = 2):
-        if max_children is not None and max_children < 1:
-            raise ValueError(f"max_children must be >= 1 or None, got {max_children}")
+        check_max_children(max_children)
         if not 0 <= first.label < class_count:
             raise ValueError(f"root label {first.label} outside [0, {class_count})")
         self.nodes: list[TreeNode] = [TreeNode(0, first, None)]
@@ -395,14 +402,44 @@ def _exact(q, c, diff=None):
     return dist.argmin(axis=0)
 
 
+# _descend measures a row's distance to every node once, instead of
+# deciding through _nearest, while len(tree) * (width + 8) stays within
+# this bound: the row costs about that many floats of work (8 for each
+# row's sum), the per-decision path a fixed cost per decision. Per descent
+# on Gaussian blobs (us, per-decision/one-row, 300 rows, min of 7 runs;
+# * within the bound):
+#   width   N=64    N=128   N=256   N=512   N=1024
+#       2   22/9*   23/11*  27/15*  30/22   34/33
+#       8   16/9*   20/11*  23/17*  25/27   28/44
+#      20   16/10*  22/14*  22/20   23/36   25/64
+#      40   19/12*  21/18   21/27   24/50   48/423
+#      63   30/20   20/21   25/41   33/80   27/350
+# The one-row side broke even at about len(tree) * (width + 8) = 6144 (8-d
+# at N = 384, 16-d at 256); the bound stays below that.
+DESCEND_ROW_MAX_COST = 4096
+
+
 def _descend(tree: BoundaryTree, row) -> int:
-    """Final node of traverse's descent for one embedded query row, with
-    the decisions of _nearest; every node row must be valid."""
+    """Final node of traverse's descent for one embedded query row; every
+    node row must be valid.
+
+    Below SCREEN_MIN_WIDTH, on a tree within DESCEND_ROW_MAX_COST, one
+    l2_value call gives the row's distance to every node and each decision
+    is the first minimum of that row at the candidates: each entry is
+    bitwise l2_value over the gathered candidates, since every row is
+    summed on its own. Otherwise each decision is _nearest's. Either way
+    every move is traverse's, ties and NaN included.
+    """
+    width = row.shape[-1]
+    dist = qsq = None
+    if width < SCREEN_MIN_WIDTH and len(tree) * (width + 8) <= DESCEND_ROW_MAX_COST:
+        dist = l2_value(row, tree.emb[:len(tree)])
+    else:
+        qsq = row @ row
     current = tree.root
-    qsq = row @ row
     while tree.nodes[current].children:
         cands = candidate_ids(tree, current)
-        nxt = cands[_nearest(tree, cands, row, qsq)]
+        nxt = cands[_nearest(tree, cands, row, qsq) if dist is None else dist[cands].argmin()]
         if nxt == current:
             break
         current = nxt
@@ -439,8 +476,9 @@ def insert_if_wrong(tree: BoundaryTree, embed, query: Sample, y_emb=None) -> boo
 
     Returns True when a node was added. The new node hangs off the final
     node of the failed query, so the new edge crosses a class boundary.
-    The tree's missing rows are filled once, then the query descends with
-    _nearest's decisions, which are traverse's. The query's embedding,
+    The tree's missing rows are filled once, then the query takes
+    _descend's one-row descent (one distance row on a small tree, _nearest's
+    decisions otherwise), whose moves are traverse's. The query's embedding,
     `y_emb` if the caller has it and embed(y) otherwise, is stored as the
     new node's row. Non-finite rows take the exact path without a numpy
     warning.
@@ -475,9 +513,10 @@ def build_tree(samples, embed, max_children: int | None = None, class_count: int
     _walk, and then taken in order. An insert under a node F changes only
     F's candidate set, and every walk that F changes passed through F, so
     only the block's later rows that visited F can move; _mark_stale
-    re-checks them. A row marked stale takes the one-row descent of
-    _insert when its turn comes. Non-finite rows take the exact path
-    without a numpy warning.
+    re-checks them. A row marked stale takes _insert's one-row descent when
+    its turn comes: while the tree is within DESCEND_ROW_MAX_COST (below
+    SCREEN_MIN_WIDTH), one distance row to every node serves all of its
+    decisions. Non-finite rows take the exact path without a numpy warning.
     """
     samples = list(samples)
     if not samples:

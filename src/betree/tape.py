@@ -31,7 +31,9 @@ def l2_value(a: np.ndarray, b: np.ndarray):
     exact path of boundary_tree's hard decisions, for a row block one
     candidate at a time in preallocated buffers, and the soft path's loss
     head, on (queries x candidates x width) groups whose differences it
-    keeps for its gradient.
+    keeps for its gradient. boundary_tree's one-row descent relies on the
+    per-row sums too: it calls this once over every node row and reads
+    each decision's candidates out of that one distance row.
     """
     diff = a - b
     return np.sqrt((diff * diff).sum(axis=-1))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary_tree import BoundaryTree, build_tree, predict_hard
+from .boundary_tree import BoundaryTree, build_tree, check_max_children, predict_hard
 from .soft_path import loss_and_grad
 from .tape import Tape
 from .transform import (
@@ -63,6 +63,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        check_max_children(self.max_children)
 
 
 @dataclass

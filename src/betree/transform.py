@@ -102,11 +102,17 @@ class ParameterSet:
 
 
 def init_params(arch: MlpArchitecture, seed: int) -> ParameterSet:
-    """He-Gaussian weights (stddev sqrt(2/fan_in)), zero biases."""
+    """He-Gaussian weights (stddev sqrt(2/fan_in)), zero biases.
+
+    Each weight matrix is drawn straight into its view of the flat vector:
+    standard normals scaled in place, then + 0.0, which is Generator.normal's
+    loc + scale * z bitwise (the sign of a zero included)."""
     rng = np.random.default_rng(seed)
     params = ParameterSet(arch, np.zeros(arch.n_params))
     for w in params.weights:
-        w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[1]), w.shape)
+        rng.standard_normal(out=w)
+        w *= math.sqrt(2.0 / w.shape[1])
+        w += 0.0
     return params
 
 

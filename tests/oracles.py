@@ -138,6 +138,16 @@ def ref_1nn(train_feats, train_labels, test_feats):
     return np.array(out)
 
 
+def ref_init_params(layer_sizes, seed):
+    """The flat He-Gaussian parameter vector by Generator.normal: per layer,
+    rng.normal(0.0, sqrt(2/fan_in), (out, in)) row-major, then a zero bias."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        parts += [rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_out, fan_in)).ravel(), np.zeros(fan_out)]
+    return np.concatenate(parts)
+
+
 def ref_adam_step(p, g, m, v, t, lr, beta1, beta2, eps):
     """Textbook bias-corrected Adam update for one tensor."""
     m2 = beta1 * m + (1 - beta1) * g

@@ -61,8 +61,11 @@ def test_new_tree_basics():
     tree = new_tree(Sample([1.0, 2.0, 3.0], 1), max_children=4, class_count=3)
     assert len(tree) == 1 and tree.root == 0 and tree.feature_dim == 3
     assert tree.nodes[0].label == 1 and tree.nodes[0].parent is None
-    with pytest.raises(ValueError):
-        new_tree(Sample([0.0], 0), max_children=0)
+    for bad in (0, -1, np.int64(0), 2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="max_children"):
+            new_tree(Sample([0.0], 0), max_children=bad)
+    for good in (None, 1, 3, np.int64(2), np.uint8(1)):
+        assert new_tree(Sample([0.0], 0), max_children=good).max_children == good
     with pytest.raises(ValueError):
         new_tree(Sample([0.0], 5), class_count=2)
 
@@ -652,6 +655,114 @@ def test_near_ties_at_784_d_follow_traverse(path, monkeypatch):
         monkeypatch.setattr(boundary_tree, "SCREEN_MIN_WIDTH", SCREEN_PATHS[path])
     # the data defeat an unguarded screen: its argmin is a coin flip here
     assert gemm_misorders > 40
+
+
+# ---- the one-row descent -----------------------------------------------------
+
+
+def _row_bound(width):
+    """The largest tree at which _descend reads one distance row at `width`."""
+    return boundary_tree.DESCEND_ROW_MAX_COST // (width + 8)
+
+
+def _descent_points(rng, kind, n, width):
+    if kind == "grid":
+        # integer-grid points: exact ties between candidates are common
+        return rng.integers(0, 5 if width < 8 else 2, (n, width)).astype(float)
+    points = rng.normal(size=(n, width))
+    if kind == "nonfinite":
+        for value, share in ((np.nan, 0.12), (np.inf, 0.04), (-np.inf, 0.04)):
+            # one entry in a `share` of the rows each; the root stays finite
+            rows = np.flatnonzero(rng.random(n - 1) < share) + 1
+            points[rows, rng.integers(width, size=len(rows))] = value
+    return points
+
+
+def _attached_tree(rng, points, max_children):
+    """A tree over `points` whose nodes join random parents with room under
+    the max_children bound, each labelled unlike its parent: its shape owes
+    nothing to a descent."""
+    tree = new_tree(Sample(points[0], 0), max_children, 3)
+    open_ids = [0]
+    for p in points[1:]:
+        parent = open_ids[int(rng.integers(len(open_ids)))]
+        label = (tree.nodes[parent].label + int(rng.integers(1, 3))) % 3
+        open_ids.append(tree.add_child(parent, Sample(p, label)))
+        if max_children is not None and len(tree.nodes[parent].children) == max_children:
+            open_ids.remove(parent)
+    return tree
+
+
+@pytest.mark.parametrize("kind", ["gauss", "grid", "nonfinite"])
+@pytest.mark.parametrize("max_children", [None, 1, 2])
+@pytest.mark.parametrize("side", ["row", "decisions"])
+@pytest.mark.parametrize("width", [2, 20, 63])
+def test_descend_equals_traverse_on_either_side_of_the_row_bound(width, side, max_children, kind):
+    # Within the bound each decision is the first minimum of one distance
+    # row at the candidates; beyond it, _nearest's. Ties go to the lowest id
+    # and the first NaN wins on both sides, as in traverse.
+    rng = np.random.default_rng(130 + width)
+    bound = _row_bound(width)
+    n = int(rng.integers(bound // 2, bound + 1)) if side == "row" else int(rng.integers(bound + 1, 2 * bound))
+    tree = _attached_tree(rng, _descent_points(rng, kind, n, width), max_children)
+    queries = _descent_points(rng, kind, 20 if max_children == 1 else 100, width)
+    if kind == "grid":
+        queries /= 2.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        fill_embeddings(tree, IDENT)
+        finals = [boundary_tree._descend(tree, q) for q in queries]
+        traces = [traverse(tree, IDENT, q) for q in queries]
+    assert finals == [t.final for t in traces]
+    if max_children == 1:
+        return  # a chain: every decision has one candidate
+    assert len(set(finals)) > 1
+    steps = [step.distances for t in traces for step in t.steps]
+    if kind == "grid":
+        assert sum((d == d.min()).sum() > 1 for d in steps) > 5
+    if kind == "nonfinite":
+        # some decision's NaN beats finite distances
+        assert any(np.isnan(d[d.argmin()]) and not np.isnan(d).all() for d in steps)
+
+
+@pytest.mark.parametrize("width", [2, 20, 63, 64])
+def test_descend_reads_one_distance_row_of_the_tree_within_the_bound(width, monkeypatch):
+    # One l2_value call over exactly the tree's len(tree) rows within the
+    # bound, below SCREEN_MIN_WIDTH only; per-decision candidate rows beyond.
+    rng = np.random.default_rng(131)
+    calls = []
+    l2 = boundary_tree.l2_value
+    monkeypatch.setattr(boundary_tree, "l2_value", lambda a, b: calls.append(b.shape) or l2(a, b))
+    bound = _row_bound(width)
+    for n in (bound, bound + 1):
+        tree = _attached_tree(rng, rng.normal(size=(n, width)), 2)
+        fill_embeddings(tree, IDENT)
+        for q in rng.normal(size=(5, width)):
+            calls.clear()
+            final = boundary_tree._descend(tree, q)
+            if n <= bound and width < boundary_tree.SCREEN_MIN_WIDTH:
+                assert calls == [(n, width)]
+            else:
+                assert all(rows <= 3 for rows, _ in calls)  # fan-out 2: at most 3 candidates
+            assert final == traverse(tree, IDENT, q).final
+
+
+@pytest.mark.parametrize("max_children", [None, 2])
+@pytest.mark.parametrize("width", [2, 20, 63])
+def test_build_crossing_the_row_bound_equals_traverse_loop(width, max_children, monkeypatch):
+    # Stale rows and inserts descend on both sides of the bound in one build.
+    rng = np.random.default_rng(132 + width)
+    bound = _row_bound(width)
+    samples = [Sample(p, int(rng.integers(3))) for p in rng.normal(size=(3 * bound, width))]
+    sizes = []
+    descend = boundary_tree._descend
+    monkeypatch.setattr(boundary_tree, "_descend",
+                        lambda tree, row: sizes.append(len(tree)) or descend(tree, row))
+    tree = _assert_build_matches_traverse(samples, IDENT, max_children, 3)
+    assert min(sizes) <= bound < max(sizes) <= len(tree)
+    grown = new_tree(samples[0], max_children, 3)
+    for s in samples[1:]:
+        insert_if_wrong(grown, IDENT, s)
+    assert [(n.parent, n.label) for n in grown.nodes] == [(n.parent, n.label) for n in tree.nodes]
 
 
 def test_walk_block_one_node_tree_and_empty_block():

@@ -55,6 +55,11 @@ def test_config_validation():
         tiny_config(convergence_rel_threshold=0.0)
     with pytest.raises(ValueError):
         tiny_config(max_outer_iters=0)
+    for bad in (0, -1, np.int64(0), 2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="max_children"):
+            tiny_config(max_children=bad)
+    for good in (None, 1, 3, np.int64(2), np.uint8(1)):
+        assert tiny_config(max_children=good).max_children == good
 
 
 @pytest.mark.parametrize("bad", [

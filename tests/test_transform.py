@@ -31,6 +31,7 @@ from oracles import (
     ref_adam_step,
     ref_affine,
     ref_affine_entries,
+    ref_init_params,
     ref_mlp_forward,
 )
 
@@ -61,6 +62,15 @@ def test_init_params_deterministic():
     a, b = init_params(arch, 42), init_params(arch, 42)
     assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
     assert init_params(arch, 43).weights[0][0, 0] != a.weights[0][0, 0]
+
+
+@pytest.mark.parametrize("sizes", [(3, 1), (5, 4, 3), (2, 100, 100, 30, 2), (784, 400, 400, 20)])
+def test_init_params_bytes_are_generator_normal(sizes):
+    # drawn in place into the flat vector, the weights keep the bytes of
+    # one rng.normal(0, sqrt(2/fan_in), shape) call per layer
+    for seed in (0, 1, 13, 2 ** 40 + 3):
+        flat = init_params(MlpArchitecture(sizes), seed).flat
+        assert flat.tobytes() == ref_init_params(sizes, seed).tobytes()
 
 
 def test_parameter_set_rejects_wrong_shapes():
