@@ -20,6 +20,7 @@ from .boundary_tree import (
     candidate_ids,
     fill_embeddings,
     insert_if_wrong,
+    l2_value,
     load_tree,
     new_tree,
     node_embedding,
@@ -52,7 +53,7 @@ from .soft_path import (
     path_log_prob,
     predict_soft,
 )
-from .tape import Tape, l2_value, neg_dist_log_softmax_value
+from .tape import Tape
 from .trainer import (
     IterRecord,
     TrainConfig,

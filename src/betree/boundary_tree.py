@@ -4,7 +4,8 @@ Queries descend greedily by embedding-space distance; a misclassified query
 is stored as a child of the node that produced the wrong answer, so every
 edge joins differently-labeled samples. Nodes live in an arena and are
 addressed by integer ids that ascend in insertion order; their embeddings
-live in one matrix on the tree, one row per node id.
+live in one row store on the tree, one row per node id, appended in id
+order. l2_value, the distance every decision compares, lives here too.
 """
 
 from __future__ import annotations
@@ -13,31 +14,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tape import l2_value
-
 STOP_STAYED = "stayed"
 STOP_LEAF = "leaf"
 
 
 @dataclass(frozen=True)
 class Sample:
-    """One raw training point: a feature vector plus a class index."""
+    """One raw training point: a feature vector plus an integer class index."""
 
     features: np.ndarray
     label: int
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "label", int(self.label))
+        label = self.label
+        # numpy integers count; a bool's type is not int, and floats are not integers here
+        if not ((type(label) is int or isinstance(label, np.integer)) and label >= 0):
+            raise ValueError(f"sample label must be an integer >= 0, got {label!r}")
+        if type(label) is not int:
+            object.__setattr__(self, "label", int(label))
         if self.features.ndim != 1:
             raise ValueError(f"sample features must be rank 1, got shape {self.features.shape}")
-        if self.label < 0:
-            raise ValueError(f"sample label must be >= 0, got {self.label}")
 
 
 @dataclass
 class TreeNode:
-    """One stored sample; its embedding is row `id` of the tree's matrix.
+    """One stored sample; its embedding is row `id` of the tree's row store.
     `row` is the index of the sample in the block build_tree was fed (None
     for a node added otherwise)."""
 
@@ -97,12 +99,13 @@ class BoundaryTree:
     that is full is excluded from its own candidate set, which forces the
     traversal to descend past it.
 
-    Node embeddings are cached in `emb`, one row per node id, valid where
-    `emb_valid` is set and only under the embedder stamp `emb_key`; `sq`
-    holds each valid row's squared norm for the hard decisions' screen.
-    All three grow geometrically as nodes are added; `emb` and `sq` are
-    None until the first row is filled under the current key, which also
-    fixes the width.
+    Node embeddings live in one row store under the embedder stamp
+    `emb_key`: `emb[:n_emb]` holds the rows of node ids 0 .. n_emb - 1, and
+    `sq` each of those rows' squared norm for the hard decisions' screen.
+    Rows are only ever appended (_store_rows), so the stored rows are always
+    a prefix of the node ids, and the missing ones the suffix that
+    fill_embeddings embeds as one block. `emb` and `sq` are None until the
+    first row is stored under the current key, which also fixes the width.
     """
 
     def __init__(self, first: Sample, max_children: int | None = None, class_count: int = 2):
@@ -116,7 +119,7 @@ class BoundaryTree:
         self.emb_key = None
         self.emb: np.ndarray | None = None
         self.sq: np.ndarray | None = None
-        self.emb_valid = np.zeros(1, dtype=bool)
+        self.n_emb = 0
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -140,68 +143,55 @@ class BoundaryTree:
         node = TreeNode(len(self.nodes), sample, parent)
         self.nodes.append(node)
         self.nodes[parent].children.append(node.id)
-        if node.id == len(self.emb_valid):
-            self._grow_embeddings()
         return node.id
 
-    def _grow_embeddings(self) -> None:
-        capacity = 2 * len(self.emb_valid)
-        valid = np.zeros(capacity, dtype=bool)
-        valid[:len(self.emb_valid)] = self.emb_valid
-        self.emb_valid = valid
-        if self.emb is not None:
-            emb = np.empty((capacity, self.emb.shape[1]))
-            emb[:len(self.emb)] = self.emb
-            self.emb = emb
-            sq = np.empty(capacity)
-            sq[:len(self.sq)] = self.sq
-            self.sq = sq
-
     def reset_embeddings(self, key) -> None:
-        """Drop every cached row and start caching under `key`."""
+        """Drop every stored row and start storing under `key`."""
         self.emb_key = key
         self.emb = None
         self.sq = None
-        self.emb_valid = np.zeros(len(self.emb_valid), dtype=bool)
+        self.n_emb = 0
 
 
 def new_tree(first: Sample, max_children: int | None = None, class_count: int = 2) -> BoundaryTree:
     return BoundaryTree(first, max_children, class_count)
 
 
-def fill_embeddings(tree: BoundaryTree, embed, ids=None) -> None:
-    """Make rows `ids`, or every node's row for None, valid under `embed`:
-    the missing rows are embedded as one row block by one embed call. A new
+def fill_embeddings(tree: BoundaryTree, embed) -> None:
+    """Store every node's row under `embed`: the missing suffix of node ids,
+    n_emb .. len(tree) - 1, is embedded as one row block by one embed call,
+    so a tree's rows never depend on which walk filled them first. A new
     embed.cache_key first drops every row, and the width may change with
     it."""
     if tree.emb_key != embed.cache_key:
         tree.reset_embeddings(embed.cache_key)
-    if ids is None:
-        missing = np.flatnonzero(~tree.emb_valid[:len(tree)])
-    else:
-        missing = [i for i in ids if not tree.emb_valid[i]]
-    if len(missing):
-        _store_rows(tree, missing, embed(np.array([tree.nodes[i].sample.features for i in missing])))
+    if tree.n_emb < len(tree):
+        _store_rows(tree, embed(np.array([n.sample.features for n in tree.nodes[tree.n_emb:]])))
 
 
-def _store_rows(tree: BoundaryTree, ids, rows) -> None:
-    """Store embedding rows for `ids`, and their squared norms, under the
-    tree's current key."""
+def _store_rows(tree: BoundaryTree, rows) -> None:
+    """Append embedding rows, and their squared norms, to the tree's store
+    under its current key, as the rows of the next node ids from n_emb on.
+    A full store doubles (or grows to fit the block, if that is more)."""
     rows = np.asarray(rows, dtype=np.float64)
-    if tree.emb is None:
-        tree.emb = np.empty((len(tree.emb_valid), rows.shape[1]))
-        tree.sq = np.empty(len(tree.emb_valid))
-    tree.emb[ids] = rows
-    tree.sq[ids] = np.einsum("ij,ij->i", rows, rows)
-    tree.emb_valid[ids] = True
+    n, end = tree.n_emb, tree.n_emb + len(rows)
+    if tree.emb is None or end > len(tree.emb):
+        capacity = max(end, 0 if tree.emb is None else 2 * len(tree.emb))
+        emb, sq = np.empty((capacity, rows.shape[1])), np.empty(capacity)
+        if n:
+            emb[:n], sq[:n] = tree.emb[:n], tree.sq[:n]
+        tree.emb, tree.sq = emb, sq
+    tree.emb[n:end] = rows
+    tree.sq[n:end] = np.einsum("ij,ij->i", rows, rows)
+    tree.n_emb = end
 
 
 def node_embedding(tree: BoundaryTree, ids, embed) -> np.ndarray:
-    """Rows `ids` of the tree's embedding matrix under `embed`: one row for
-    an int id, a row block for a list of ids. Missing rows are filled first
-    (see fill_embeddings)."""
-    fill_embeddings(tree, embed, [ids] if isinstance(ids, (int, np.integer)) else ids)
-    return tree.emb[ids]
+    """Rows `ids` of the tree's row store under `embed`: one row for an int
+    id, a row block for a list of ids. Every missing row is filled first
+    (see fill_embeddings); an id outside the tree raises IndexError."""
+    fill_embeddings(tree, embed)
+    return tree.emb[:tree.n_emb][ids]
 
 
 def candidate_ids(tree: BoundaryTree, node_id: int) -> list[int]:
@@ -233,7 +223,7 @@ def traverse(tree: BoundaryTree, embed, y, y_emb=None) -> Trace:
     distances resolve to the lowest node id (candidate lists ascend by id,
     so the first minimum wins). Stops when the argmin is the current node or
     a childless node is reached. Each decision's distances come from one
-    l2_value call over the candidate rows of the tree's embedding matrix.
+    l2_value call over the candidate rows of the tree's row store.
     walk_block takes the same descent for a block of queries.
     """
     y = _check_queries(tree, y, (1,), "traverse")
@@ -297,7 +287,7 @@ def walk_block(tree: BoundaryTree, embed, y) -> np.ndarray:
 
 def _walk(tree: BoundaryTree, q):
     """Descend every row of an embedded query block `q` (rank 2, at least
-    one row); every node row must be valid.
+    one row); every node's row must be stored.
 
     Returns the final node id of each row and, for each visited node, the
     pair (rows, next): the indices of the rows that reached it and the node
@@ -338,7 +328,7 @@ def _nearest(tree: BoundaryTree, cands, q, qsq=None, diff=None):
     """Index into `cands` of the nearest candidate for one embedded query
     row `q` (rank 1), or one index per row of a block (rank 2): the first
     minimum of l2_value(row, tree.emb[cands]), bitwise traverse's choice.
-    The candidates' rows and squared norms `tree.sq` must be valid.
+    The candidates' rows and squared norms `tree.sq` must be stored.
 
     The exact path is _exact. For widths d >= SCREEN_MIN_WIDTH a screen
     decides first, since a hard decision needs only the argmin. For a row
@@ -385,6 +375,30 @@ def _nearest(tree: BoundaryTree, cands, q, qsq=None, diff=None):
     return choice
 
 
+# Below this distance the L2 derivative is singular; gradients through a
+# distance (the soft path's loss head) use the zero subgradient instead of
+# dividing by ~0.
+DISTANCE_EPS = 1e-12
+
+
+def l2_value(a: np.ndarray, b: np.ndarray):
+    """Euclidean distance from a rank-1 `a` to `b`, or to each row of a
+    rank-2 `b` (one distance per row).
+
+    The single distance kernel of traversal: each row's sum runs over the
+    same contiguous elements in the same order as the rank-1 case. Two
+    callers repeat this arithmetic and must agree with it bitwise: _exact,
+    the exact path of the hard decisions, for a row block one candidate at
+    a time in preallocated buffers, and soft_path.loss_head, on (queries x
+    candidates x width) groups whose differences it keeps for its gradient.
+    _descend relies on the per-row sums too: it calls this once over every
+    node row and reads each decision's candidates out of that one distance
+    row.
+    """
+    diff = a - b
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
 def _exact(q, c, diff=None):
     """First minimum of l2_value(row, c) for one row `q` (rank 1) or each
     row of a block, with l2_value's arithmetic on the same elements in the
@@ -421,7 +435,7 @@ DESCEND_ROW_MAX_COST = 4096
 
 def _descend(tree: BoundaryTree, row) -> int:
     """Final node of traverse's descent for one embedded query row; every
-    node row must be valid.
+    node's row must be stored.
 
     Below SCREEN_MIN_WIDTH, on a tree within DESCEND_ROW_MAX_COST, one
     l2_value call gives the row's distance to every node and each decision
@@ -467,7 +481,7 @@ def _insert(tree: BoundaryTree, sample: Sample, row, final=None) -> int | None:
     if tree.nodes[final].label == sample.label:
         return None
     node_id = tree.add_child(final, sample)
-    _store_rows(tree, [node_id], row[None])
+    _store_rows(tree, row[None])
     return node_id
 
 
@@ -535,7 +549,7 @@ def build_tree(samples, embed, max_children: int | None = None, class_count: int
             rows = embed(np.array([s.features for s in samples]))
         rows = np.asarray(rows, dtype=np.float64)
         tree.reset_embeddings(embed.cache_key)
-        _store_rows(tree, [0], rows[:1])
+        _store_rows(tree, rows[:1])
         for lo in range(1, len(samples), BUILD_BLOCK):
             q = rows[lo:lo + BUILD_BLOCK]
             finals, visits = _walk(tree, q)

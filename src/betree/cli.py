@@ -127,8 +127,6 @@ def _resolve_datasets(args, parser: _Parser, split: bool = True) -> tuple[Datase
 
     if not split or args.train_frac >= 1.0:
         return _limit(full, args.train_limit), None
-    if not 0.0 < args.train_frac < 1.0 + 1e-12:
-        parser.error(f"--train-frac must be in (0, 1], got {args.train_frac}")
     train_ds, test_ds = shuffle_split(full, data_seed + 1,
                                       (args.train_frac, 1.0 - args.train_frac))
     return _limit(train_ds, args.train_limit), _limit(test_ds, args.test_limit)
@@ -334,6 +332,11 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag in ("train_limit", "test_limit", "max_children"):
+        if getattr(args, flag, 0) < 0:
+            parser.error(f"--{flag.replace('_', '-')} must be >= 0, got {getattr(args, flag)}")
+    if not 0.0 < getattr(args, "train_frac", 1.0) <= 1.0:
+        parser.error(f"--train-frac must be in (0, 1], got {args.train_frac}")
     try:
         return args.func(args, parser)
     except (DataFormatError, CheckpointFormatError, TreeFormatError) as e:

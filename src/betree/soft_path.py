@@ -3,17 +3,19 @@
 Each traversal decision becomes a softmax over negative embedding distances,
 a root-to-final path gets the product of its transition probabilities, and
 the class prediction aggregates the last decision's candidate mass by label.
-The walk is boundary_tree.traverse itself under the plain embedder. The loss
-head then turns the rows the walks compared (the queries' rows and the
-tree's rows of their last decisions' candidates) into the batch's summed
-cross-entropy with a closed-form gradient with respect to those rows,
-computed once per group of queries with the same candidate count and
-bitwise equal to a per-query loop (see loss_head). Each of those rows is a
-row of the step's one recorded forward (transform.forward): the query rows
-themselves, and the tree's rows as the copies the build stored. So the
-written-out backward (tape.Tape.backward) over exactly the recorded rows
-the head read carries that gradient to the transform parameters, through
-the queries and through the stored samples they aggregate.
+The walk is boundary_tree.traverse itself under the plain embedder, and its
+distances are boundary_tree.l2_value's; one log-softmax, _log_mass, serves
+both the path's log-probability and the loss head. The loss head then turns
+the rows the walks compared (the queries' rows and the tree's rows of their
+last decisions' candidates) into the batch's summed cross-entropy with a
+closed-form gradient with respect to those rows, computed once per group of
+queries with the same candidate count and bitwise equal to a per-query loop
+(see loss_head). Each of those rows is a row of the step's one recorded
+forward (transform.forward): the query rows themselves, and the tree's rows
+as the copies the build stored. So the written-out backward
+(tape.Tape.backward) over exactly the recorded rows the head read carries
+that gradient to the transform parameters, through the queries and through
+the stored samples they aggregate.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from . import transform
 from .boundary_tree import (
+    DISTANCE_EPS,
     STOP_STAYED,
     BoundaryTree,
     Sample,
@@ -34,7 +37,7 @@ from .boundary_tree import (
     node_embedding,
     traverse,
 )
-from .tape import DISTANCE_EPS, Tape, neg_dist_log_softmax_value
+from .tape import Tape
 
 # A structural miss (the true class has no member in the aggregation set)
 # scores the true class at this floor mass instead of 0.
@@ -114,11 +117,13 @@ def embed_paths(traces: list[PathTrace]) -> tuple[list[int], np.ndarray, list[li
 
 def path_log_prob(trace: PathTrace) -> float:
     """Log-probability of the traced node sequence under the stochastic
-    relaxation: the sum of the chosen transitions' log-probs. An empty
-    decision list is the empty product (log 1 = 0)."""
+    relaxation: the sum of the chosen transitions' log-probs, each taken
+    with _log_mass over all candidates. An empty decision list is the empty
+    product (log 1 = 0)."""
     total = np.float64(0.0)
     for d in trace.decisions:
-        total = total + neg_dist_log_softmax_value(d.distances)[d.chosen]
+        neg = -d.distances
+        total = total + (neg[d.chosen] - _log_mass(neg, np.ones(len(neg), dtype=bool))[0])
     return float(total)
 
 
@@ -284,7 +289,7 @@ def loss_and_grad(tree: BoundaryTree, params: transform.ParameterSet, samples,
         transform.forward(tape, params, np.array([*(node.sample.features for node in tree.nodes),
                                                   *(s.features for s in samples)]))
         tree.reset_embeddings(transform.make_embedder(params).cache_key)
-        _store_rows(tree, np.arange(len(tree)), tape.output[:len(tree)])
+        _store_rows(tree, tape.output[:len(tree)])
         for node in tree.nodes:
             node.row = node.id
     k = len(samples)

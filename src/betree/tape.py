@@ -1,5 +1,4 @@
-"""The record of one gradient step through the embedding MLP, and the
-distance and log-softmax kernels of traversal and the loss.
+"""The record of one gradient step through the embedding MLP.
 
 The only graph a step builds is a fixed chain: affine, activation, ...,
 affine over one row block, then the soft path's closed-form loss head. So
@@ -15,39 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .transform import ParameterSet
-
-# Below this distance the L2 derivative is singular; gradients through a
-# distance use the zero subgradient instead of dividing by ~0.
-DISTANCE_EPS = 1e-12
-
-
-def l2_value(a: np.ndarray, b: np.ndarray):
-    """Euclidean distance from a rank-1 `a` to `b`, or to each row of a
-    rank-2 `b` (one distance per row).
-
-    The single distance kernel of plain tree traversal: each row's sum runs
-    over the same contiguous elements in the same order as the rank-1 case.
-    Two callers repeat this arithmetic and must agree with it bitwise: the
-    exact path of boundary_tree's hard decisions, for a row block one
-    candidate at a time in preallocated buffers, and the soft path's loss
-    head, on (queries x candidates x width) groups whose differences it
-    keeps for its gradient. boundary_tree's one-row descent relies on the
-    per-row sums too: it calls this once over every node row and reads
-    each decision's candidates out of that one distance row.
-    """
-    diff = a - b
-    return np.sqrt((diff * diff).sum(axis=-1))
-
-
-def neg_dist_log_softmax_value(dists: np.ndarray) -> np.ndarray:
-    """Log of softmax(-d) over a vector of distances, max-subtracted so
-    large distances cannot underflow the normalizer.
-
-    The log-softmax kernel of a traversal's path probability.
-    """
-    neg = -dists
-    m = neg.max()
-    return neg - (m + np.log(np.sum(np.exp(neg - m))))
 
 
 class Tape:

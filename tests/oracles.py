@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from betree import MISS_LOSS, STOP_STAYED, LossHead
-from betree.tape import DISTANCE_EPS
+from betree.boundary_tree import DISTANCE_EPS
 
 
 def softmax_neg(dists):
@@ -20,6 +20,14 @@ def softmax_neg(dists):
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
+
+
+def ref_neg_dist_log_softmax(dists):
+    """Log of softmax(-d) over a vector of distances, max-subtracted, as
+    one expression over the whole vector."""
+    neg = -dists
+    m = neg.max()
+    return neg - (m + np.log(np.sum(np.exp(neg - m))))
 
 
 def ref_mlp_forward(weights, biases, activation, x, return_pre=False):

@@ -1,6 +1,7 @@
 """Boundary tree: construction, greedy traversal, online growth, snapshots."""
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -55,6 +56,13 @@ def test_sample_validation():
         Sample([1.0], -1)
     s = Sample([1, 2], 1)
     assert s.features.dtype == np.float64
+    # a label is an integer: no float, bool or string is coerced to one
+    for bad in (1.7, 1.0, np.float64(2.0), True, np.bool_(True), "1", None, np.int64(-2)):
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer >= 0, got {bad!r}")):
+            Sample([0.0], bad)
+    for good in (0, 3, np.int64(2), np.uint8(7)):
+        label = Sample([0.0], good).label
+        assert label == good and type(label) is int
 
 
 def test_new_tree_basics():
@@ -296,13 +304,18 @@ def test_node_embedding_cache_keyed_by_embedder():
 
     e1 = counted(("count", 1))
     node_embedding(tree, 0, e1)
-    node_embedding(tree, 0, e1)
-    assert calls["n"] == 1  # second hit served from cache
+    assert calls["n"] == 2 and tree.n_emb == 2  # a miss fills every missing row
+    node_embedding(tree, 1, e1)
+    assert calls["n"] == 2  # served from the store
     node_embedding(tree, 0, counted(("count", 2)))
-    assert calls["n"] == 2  # new stamp invalidates
+    assert calls["n"] == 4 and tree.emb_key == ("count", 2)  # new stamp invalidates
     assert np.array_equal(node_embedding(tree, 1, e1), [4.0, 0.0])
-    assert calls["n"] == 3 and tree.emb_key == ("count", 1)
-    assert tree.emb_valid[:2].tolist() == [False, True]  # row 0 was filled under key 2
+    assert calls["n"] == 6 and tree.emb_key == ("count", 1) and tree.n_emb == 2
+    tree.add_child(1, Sample([4.0, 3.0], 0))
+    assert np.array_equal(node_embedding(tree, [2, 0], e1), [[4.0, 3.0], [0.0, 0.0]])
+    assert calls["n"] == 7  # only the new node's row
+    with pytest.raises(IndexError):
+        node_embedding(tree, 3, e1)  # no such node, though the store has room
 
     # A new key on the same tree may change the embedding width.
     def widen(x):
@@ -310,15 +323,15 @@ def test_node_embedding_cache_keyed_by_embedder():
         return np.insert(x, x.shape[-1], -1.0, axis=-1)
 
     widen.cache_key = ("widen",)
-    fill_embeddings(tree, widen, range(len(tree)))
-    assert calls["n"] == 5 and tree.emb.shape[1] == 3
-    assert np.array_equal(tree.emb[:2], [[0.0, 0.0, -1.0], [4.0, 0.0, -1.0]])
-    fill_embeddings(tree, widen, range(len(tree)))
-    assert calls["n"] == 5  # every row already valid under this key
+    fill_embeddings(tree, widen)
+    assert calls["n"] == 10 and tree.emb.shape[1] == 3
+    assert np.array_equal(tree.emb[:3], [[0.0, 0.0, -1.0], [4.0, 0.0, -1.0], [4.0, 3.0, -1.0]])
+    fill_embeddings(tree, widen)
+    assert calls["n"] == 10  # every row already stored under this key
     assert traverse(tree, widen, np.array([3.0, 0.0])).final == 1
-    fill_embeddings(tree, IDENT, range(len(tree)))
-    assert tree.emb.shape[1] == 2 and np.array_equal(tree.emb[:2], [[0.0, 0.0], [4.0, 0.0]])
-    assert tree.sq[:2].tolist() == [0.0, 16.0]  # squared norms follow the rows
+    fill_embeddings(tree, IDENT)
+    assert tree.emb.shape[1] == 2 and np.array_equal(tree.emb[:3], [[0.0, 0.0], [4.0, 0.0], [4.0, 3.0]])
+    assert tree.sq[:3].tolist() == [0.0, 16.0, 25.0]  # squared norms follow the rows
 
 
 def test_embedding_matrix_grows_and_traverse_matches_per_candidate_replay():
@@ -336,27 +349,85 @@ def test_embedding_matrix_grows_and_traverse_matches_per_candidate_replay():
     for s in random_samples(rng, 400, 3, 3):
         insert_if_wrong(tree, counted, s)
         n = len(tree)
-        capacity = len(tree.emb_valid)
-        assert capacity >= n and capacity & (capacity - 1) == 0  # doubles as nodes arrive
-        assert tree.emb is None or tree.emb.shape == (capacity, 2)
-        assert not tree.emb_valid[n:].any()
+        capacity = len(tree.emb)
+        assert tree.n_emb == n  # every row stored, in id order
+        assert capacity >= n and capacity & (capacity - 1) == 0  # doubles as rows arrive
+        assert tree.emb.shape == (capacity, 2) and tree.sq.shape == (capacity,)
     assert len(tree) > 100
-    for i in np.flatnonzero(tree.emb_valid):
+    for i in range(len(tree)):
         assert np.array_equal(tree.emb[i], embed(params, tree.nodes[i].sample.features))
     # One embedded row per query plus the root's single fill: an inserted
     # query's row is stored, never embedded again.
-    assert calls["n"] == 400 + 1 and tree.emb_valid[:len(tree)].all()
+    assert calls["n"] == 400 + 1
 
     for _ in range(50):
         q = rng.normal(size=3)
-        trace = traverse(tree, embedder, q)
+        trace = traverse(tree, counted, q)
         q_emb = embed(params, q)
         for step in trace.steps:
             replay = [l2_value(q_emb, embed(params, tree.nodes[c].sample.features))
                       for c in step.candidates]
             assert step.distances.tolist() == replay
-    fill_embeddings(tree, embedder, range(len(tree)))
-    assert tree.emb_valid[:len(tree)].all()
+    assert calls["n"] == 400 + 1 + 50  # the walks embedded only their queries
+
+
+def _add_random_child(rng, tree, dim):
+    """add_child under a random node, with a random label other than the
+    parent's, so the edge crosses a class boundary."""
+    parent = int(rng.integers(0, len(tree)))
+    label = (tree.nodes[parent].label + int(rng.integers(1, tree.class_count))) % tree.class_count
+    tree.add_child(parent, Sample(rng.normal(size=dim), label))
+
+
+def test_rows_do_not_depend_on_which_walk_fills_them(tmp_path):
+    # A loaded tree has no rows; whichever walk comes first embeds every
+    # node's row as one block, so the store is bitwise the same after a
+    # one-query traverse as after a block walk (GEMM rounding follows the
+    # block's shape, so per-decision candidate blocks would differ).
+    rng = np.random.default_rng(141)
+    embedder = make_embedder(init_params(MlpArchitecture((5, 32, 32, 4)), 142))
+    for trial in range(3):
+        tree = new_tree(Sample(rng.normal(size=5), 0), class_count=3)
+        for _ in range(299):
+            _add_random_child(rng, tree, 5)
+        path = tmp_path / f"tree{trial}.bin"
+        save_tree(tree, path)
+        a, b = load_tree(path), load_tree(path)
+        queries = rng.normal(size=(8, 5))
+        traverse(a, embedder, queries[0])
+        walk_block(b, embedder, queries)
+        fill_embeddings(a, embedder)
+        fill_embeddings(b, embedder)
+        assert a.n_emb == b.n_emb == 300
+        assert a.emb[:300].tobytes() == b.emb[:300].tobytes()
+        assert a.sq[:300].tobytes() == b.sq[:300].tobytes()
+
+
+def test_interleaved_growth_stores_each_row_at_its_node_id():
+    # Under the identity embedder a node's row is its features, so a row
+    # stored at the wrong id shows, whichever path added the node or filled
+    # the rows.
+    rng = np.random.default_rng(143)
+    tree = new_tree(Sample(rng.normal(size=3), 0), class_count=3)
+    for step in range(300):
+        kind = step % 4
+        if kind == 0:
+            for _ in range(int(rng.integers(1, 4))):
+                _add_random_child(rng, tree, 3)
+        elif kind == 1:
+            insert_if_wrong(tree, IDENT, Sample(rng.normal(size=3), int(rng.integers(0, 3))))
+        elif kind == 2:
+            traverse(tree, IDENT, rng.normal(size=3))
+        else:
+            walk_block(tree, IDENT, rng.normal(size=(4, 3)))
+        if tree.n_emb:
+            assert np.array_equal(tree.emb[:tree.n_emb],
+                                  [n.sample.features for n in tree.nodes[:tree.n_emb]])
+    fill_embeddings(tree, IDENT)
+    want = np.array([n.sample.features for n in tree.nodes])
+    assert len(tree) > 150 and tree.n_emb == len(tree)
+    assert tree.emb[:len(tree)].tobytes() == want.tobytes()
+    assert tree.sq[:len(tree)].tobytes() == np.einsum("ij,ij->i", want, want).tobytes()
 
 
 def test_build_tree_stores_query_rows_and_block_queries_match_one_by_one():
@@ -372,11 +443,11 @@ def test_build_tree_stores_query_rows_and_block_queries_match_one_by_one():
     tree = build_tree(samples, embedder, 3, 3)
     replay = new_tree(samples[0], 3, 3)
     replay.reset_embeddings(embedder.cache_key)
-    boundary_tree._store_rows(replay, [0], rows[:1])
+    boundary_tree._store_rows(replay, rows[:1])
     for s, row in zip(samples[1:], rows[1:]):
         insert_if_wrong(replay, embedder, s, row)
     assert [(n.parent, n.label) for n in tree.nodes] == [(n.parent, n.label) for n in replay.nodes]
-    assert tree.emb_key == embedder.cache_key and tree.emb_valid[:len(tree)].all()
+    assert tree.emb_key == embedder.cache_key and tree.n_emb == len(tree)
     index = {id(s): i for i, s in enumerate(samples)}
     want = rows[[index[id(node.sample)] for node in tree.nodes]]
     assert tree.emb[:len(tree)].tobytes() == replay.emb[:len(replay)].tobytes() == want.tobytes()

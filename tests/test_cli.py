@@ -221,6 +221,40 @@ def test_eval_requires_test_split():
     assert err.value.code == 3
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--train-limit", "-5", "must be >= 0, got -5"),
+    ("--test-limit", "-3", "must be >= 0, got -3"),
+    ("--max-children", "-4", "must be >= 0, got -4"),
+    ("--train-frac", "2.0", "must be in (0, 1], got 2.0"),
+    ("--train-frac", "0", "must be in (0, 1], got 0.0"),
+    ("--train-frac", "-0.5", "must be in (0, 1], got -0.5"),
+    ("--train-frac", "nan", "must be in (0, 1], got nan"),
+])
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_out_of_range_count_flags_are_usage_errors(command, flag, value, message, tmp_path,
+                                                   monkeypatch, capsys):
+    # a negative limit would slice samples off the end, a train fraction
+    # above 1 would train with no test split, and a negative fan-out bound
+    # would mean unlimited; each is refused before any work is done
+    monkeypatch.chdir(tmp_path)
+    argv = FAST_TRAIN if command == "train" else ["eval", "--dataset", "halfmoons", "--identity"]
+    with pytest.raises(SystemExit) as err:
+        run([*argv, flag, value])
+    assert err.value.code == 3
+    assert f"{flag} {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_in_range_count_flags_are_accepted(tmp_path, capsys):
+    # 0 still means all samples and an unlimited fan-out; 1.0 means no split
+    assert run(["eval", "--dataset", "halfmoons", "--n", "60", "--identity", "--train-limit", "0",
+                "--test-limit", "5", "--max-children", "0"]) == 0
+    out = tmp_path / "emb.csv"
+    assert run(["dump-embeddings", "--dataset", "halfmoons", "--n", "20", "--identity",
+                "--train-frac", "1.0", "--out", str(out)]) == 0
+    assert len(load_embedding_csv(out)) == 20
+
+
 def test_eval_rejects_checkpoint_plus_identity(tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["eval", "--dataset", "halfmoons", "--identity",

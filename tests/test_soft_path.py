@@ -27,7 +27,6 @@ from betree import (
     loss_and_grad,
     loss_head,
     make_embedder,
-    neg_dist_log_softmax_value,
     new_tree,
     path_log_prob,
     predict_hard,
@@ -36,6 +35,7 @@ from betree import (
 )
 from betree import transform
 from betree.boundary_tree import _store_rows
+from betree.soft_path import _log_mass
 from helpers import (
     fd_max_rel_error,
     general_position_case,
@@ -48,6 +48,7 @@ from oracles import (
     enumerated_class_expectation,
     fd_gradient,
     ref_loss_head,
+    ref_neg_dist_log_softmax,
     softmax_neg,
 )
 
@@ -147,7 +148,7 @@ def test_decision_probabilities_normalize():
         tree = random_tree(rng, n_range=(4, 15), dim=2, class_count=2)
         pt = greedy_path(tree, None, rng.normal(size=2))
         for dec in pt.decisions:
-            probs = np.exp(neg_dist_log_softmax_value(dec.distances))
+            probs = _log_mass(-dec.distances, np.ones(len(dec.distances), dtype=bool))[1]
             assert abs(probs.sum() - 1.0) < 1e-12
             assert np.allclose(probs, softmax_neg(dec.distances), atol=1e-14)
 
@@ -186,6 +187,28 @@ def test_path_prob_matches_enumeration_oracle():
         assert abs(got - table[tuple(soft_visited(pt))]) < 1e-12
         checked += 1
     assert checked >= 40
+
+
+def test_path_log_prob_is_bitwise_the_per_decision_log_softmax_sum():
+    # path_log_prob takes each decision's log-softmax from _log_mass over an
+    # all-true mask; the whole-vector expression of the oracle, summed over
+    # the decisions in order from 0.0, gives the same bytes, also for
+    # distances large enough that the max-subtraction matters
+    rng = np.random.default_rng(203)
+    decisions = 0
+    for trial in range(30):
+        params = None if trial % 2 else init_params(MlpArchitecture((3, 8, 4)), 204 + trial)
+        embedder = IDENT if params is None else make_embedder(params)
+        tree = random_tree(rng, n_range=(5, 40), dim=3, class_count=3, embedder=embedder,
+                           max_children=2 if trial % 3 == 0 else None)
+        for scale in (1.0, 30.0):
+            pt = greedy_path(tree, params, scale * rng.normal(size=3))
+            want = np.float64(0.0)
+            for d in pt.decisions:
+                want = want + ref_neg_dist_log_softmax(d.distances)[d.chosen]
+            assert np.float64(path_log_prob(pt)).tobytes() == want.tobytes()
+            decisions += len(pt.decisions)
+    assert decisions >= 100
 
 
 # ---- class_probs -------------------------------------------------------------
@@ -376,7 +399,7 @@ def _manual_step(tree, params, batch):
     out = transform.forward(tape, params, np.array([*(n.sample.features for n in tree.nodes),
                                                     *(s.features for s in batch)]))
     tree.reset_embeddings(make_embedder(params).cache_key)
-    _store_rows(tree, np.arange(len(tree)), out[:len(tree)])
+    _store_rows(tree, out[:len(tree)])
     traces = [greedy_path(tree, params, s.features, r) for s, r in zip(batch, out[len(tree):])]
     union, head = batch_loss(traces, [s.label for s in batch])
     return tape, tape.backward(head.grad / k, [*range(len(tree), len(out)), *union])

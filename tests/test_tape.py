@@ -1,5 +1,7 @@
 """The step record's written-out backward against central differences; the
-distance and log-softmax kernels, and the loss head's distance gradient."""
+distance kernel (boundary_tree.l2_value), the log-softmax
+(soft_path._log_mass over an all-true mask), and the loss head's distance
+gradient."""
 
 import math
 
@@ -7,7 +9,9 @@ import numpy as np
 import pytest
 
 from betree import Sample, embed_paths, greedy_path, loss_head, new_tree
-from betree.tape import DISTANCE_EPS, Tape, l2_value, neg_dist_log_softmax_value
+from betree.boundary_tree import DISTANCE_EPS, l2_value
+from betree.soft_path import _log_mass
+from betree.tape import Tape
 from betree.transform import MlpArchitecture, ParameterSet, affine, embed, forward, init_params
 from oracles import fd_gradient, softmax_neg
 
@@ -291,21 +295,30 @@ def test_l2_distance_row_block_values_and_gradients_match_fd():
     assert np.allclose(head.grad, fd_gradient(_head_value(pt, rows, 0), block), atol=1e-7)
 
 
+def _log_softmax(dists):
+    """log softmax(-d) and softmax(-d) through _log_mass over an all-true
+    mask."""
+    neg = -dists
+    lse, p = _log_mass(neg, np.ones(len(neg), dtype=bool))
+    return neg - lse, p
+
+
 def test_log_softmax_values_match_oracle_and_normalize():
     rng = np.random.default_rng(5)
     for _ in range(20):
         dists = rng.uniform(0.1, 10.0, size=int(rng.integers(1, 8)))
-        logps = neg_dist_log_softmax_value(dists)
+        logps, p = _log_softmax(dists)
         assert abs(np.exp(logps).sum() - 1.0) < 1e-12
         assert np.allclose(np.exp(logps), softmax_neg(dists), atol=1e-12)
+        assert np.allclose(p, softmax_neg(dists), atol=1e-12)
 
 
 def test_log_softmax_shift_invariance():
     dists = np.array([0.5, 1.5, 3.0])
-    shifted = np.exp(neg_dist_log_softmax_value(dists + 100.0))
+    shifted = np.exp(_log_softmax(dists + 100.0)[0])
     assert np.allclose(shifted, softmax_neg(dists), atol=1e-10)
 
 
 def test_log_softmax_rejects_empty():
     with pytest.raises(ValueError):
-        neg_dist_log_softmax_value(np.zeros(0))
+        _log_softmax(np.zeros(0))
